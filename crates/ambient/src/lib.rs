@@ -21,13 +21,11 @@
 pub mod cw;
 pub mod ofdm;
 pub mod power;
-pub mod recorded;
 pub mod tv;
 
 pub use cw::CwSource;
 pub use ofdm::OfdmBurstySource;
 pub use power::gamma_unit_mean;
-pub use recorded::RecordedSource;
 pub use tv::TvSource;
 
 use fdb_dsp::Iq;
@@ -75,8 +73,6 @@ pub enum Ambient {
     },
     /// Bursty OFDM-like source.
     Ofdm(OfdmBurstySource),
-    /// Replay of a recorded buffer.
-    Recorded(RecordedSource),
 }
 
 impl Ambient {
@@ -112,7 +108,6 @@ impl Ambient {
                 Iq::real(power::gamma_unit_mean(rng, *k_factor).sqrt())
             }
             Ambient::Ofdm(s) => s.next_sample(rng),
-            Ambient::Recorded(s) => s.next_sample(),
         }
     }
 
@@ -125,7 +120,6 @@ impl Ambient {
             Ambient::Tv(s) => s.next_sample().norm_sq(),
             Ambient::TvWideband { k_factor } => power::gamma_unit_mean(rng, *k_factor),
             Ambient::Ofdm(s) => s.next_sample(rng).norm_sq(),
-            Ambient::Recorded(s) => s.next_sample().norm_sq(),
         }
     }
 
@@ -136,7 +130,6 @@ impl Ambient {
             Ambient::Tv(_) => "tv",
             Ambient::TvWideband { .. } => "tv-wideband",
             Ambient::Ofdm(_) => "ofdm-bursty",
-            Ambient::Recorded(_) => "recorded",
         }
     }
 }

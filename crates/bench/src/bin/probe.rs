@@ -25,15 +25,13 @@
 //!   [`fdb_core::trace::TraceEvent`] per line, then a `summary` object.
 //!   The fastest way to see *where* inside the PHY pipeline a frame dies.
 //!   With `--trace-out PATH` the events stream to a JSONL file (with
-//!   frame markers) instead of stdout. Needs the `trace` feature (on by
-//!   default for this crate).
+//!   frame markers) instead of stdout.
 //! * `sync` — per-frame two-stage acquisition counters (candidate locks,
-//!   rejections, peak correlation) plus a closing summary. Works without
-//!   the `trace` feature; the CI smoke check for lock discrimination.
+//!   rejections, peak correlation) plus a closing summary; the CI smoke
+//!   check for lock discrimination.
 //! * `link` — aggregate [`fdb_sim::LinkMetrics`] for a batch; with
 //!   `--trace-out PATH` every frame's events stream to a JSONL file
-//!   through a `JsonlFileSink` at constant resident memory (needs the
-//!   `trace` feature).
+//!   through a `JsonlFileSink` at constant resident memory.
 //! * `mac` — runs an adaptive-vs-oblivious [`fdb_sim::AblationPair`]:
 //!   one JSON line per session slot per arm, then a summary with both
 //!   goodputs and the achieved margin. Exits non-zero when the margin is
@@ -55,11 +53,8 @@
 //! (JSON, see `configs/faults/`) to any run mode; fault activations land
 //! in the metrics/summary output. `--validate-trace PATH` parses a trace
 //! JSONL file line-by-line and exits non-zero on the first malformed
-//! line. `--sweep [frames]` is the legacy operating-envelope sweep.
-//!
-//! Every pre-subcommand spelling keeps working as a hidden alias:
-//! `--report sync|link|mac`, `--sync-report`, `--fault-matrix CFGS`, a
-//! bare default invocation (→ `replay`) and `probe N` (→ `--sweep N`).
+//! line. `--sweep [frames]` is the legacy operating-envelope sweep. With
+//! no subcommand, probe runs `replay`.
 
 use fdb_core::link::{FdLink, FrameRun, LinkConfig, RunOptions};
 use fdb_core::trace::parse_trace_line;
@@ -149,8 +144,7 @@ fn usage() -> ! {
          \x20                    [--stream-trace --trace-out PATH] [--timeout-ms N]\n\
          \x20      probe submit  [--socket PATH] --ping | --recheck N | --stop-service\n\
          \x20      probe --validate-trace PATH\n\
-         \x20      probe --sweep [frames]\n\
-         (legacy aliases: --report sync|link|mac, --sync-report, --fault-matrix CFGS)"
+         \x20      probe --sweep [frames]"
     );
     std::process::exit(2);
 }
@@ -244,21 +238,6 @@ fn parse_args() -> Args {
                 args.recheck = Some(value("--recheck").parse().unwrap_or_else(|_| usage()))
             }
             "--stop-service" => args.stop_service = true,
-            // Legacy aliases (pre-subcommand spellings).
-            "--report" => match value("--report").as_str() {
-                "sync" => args.mode = Some(Mode::Sync),
-                "link" => args.mode = Some(Mode::Link),
-                "mac" => args.mode = Some(Mode::Mac),
-                other => {
-                    eprintln!("unknown report '{other}' (expected sync|link|mac)");
-                    usage()
-                }
-            },
-            "--sync-report" => args.mode = Some(Mode::Sync),
-            "--fault-matrix" => {
-                args.mode = Some(Mode::Matrix);
-                args.matrix_configs = Some(value("--fault-matrix"));
-            }
             "--validate-trace" => {
                 args.mode = Some(Mode::Validate);
                 args.validate_trace = Some(value("--validate-trace"));
@@ -277,11 +256,6 @@ fn parse_args() -> Args {
                 && !cfgs.starts_with('-') =>
             {
                 args.matrix_configs = Some(cfgs.to_string())
-            }
-            // Bare number: legacy `probe N` sweep invocation.
-            n if n.parse::<u32>().is_ok() => {
-                args.mode = Some(Mode::Sweep);
-                args.sweep_frames = n.parse().unwrap();
             }
             _ => usage(),
         }
@@ -305,18 +279,7 @@ fn main() {
         Mode::Serve => serve_cmd(&args),
         Mode::Submit => submit_cmd(&args),
         Mode::Sweep => sweep(args.sweep_frames),
-        Mode::Replay => {
-            #[cfg(feature = "trace")]
-            trace_frame(&args);
-            #[cfg(not(feature = "trace"))]
-            {
-                eprintln!(
-                    "probe was built without the `trace` feature; rebuild with default \
-                     features (or use sync/link/matrix/--sweep/--validate-trace)"
-                );
-                std::process::exit(2);
-            }
-        }
+        Mode::Replay => trace_frame(&args),
     }
 }
 
@@ -477,9 +440,8 @@ fn clone_args(args: &Args) -> Args {
     }
 }
 
-#[cfg(feature = "trace")]
 fn trace_frame(args: &Args) {
-    use fdb_core::trace::{JsonlFileSink, TraceSink};
+    use fdb_core::trace::{JsonlFileSink, RingSink, TraceSink};
     use serde::Serialize;
 
     #[derive(Serialize)]
@@ -544,15 +506,17 @@ fn trace_frame(args: &Args) {
             (out, summary.events as usize, summary.dropped as usize)
         }
         None => {
+            let mut ring = RingSink::new(frame_cap);
             let out = link
                 .run_frame_with(
                     &payload,
                     &opts,
                     &mut rng,
-                    FrameRun::faulted(frame_faults.as_mut()),
+                    FrameRun::faulted(frame_faults.as_mut()).with_sink(&mut ring),
                 )
                 .expect("frame");
-            for ev in out.trace.events() {
+            let trace = ring.into_trace();
+            for ev in trace.events() {
                 if let Some(stage) = &args.stage {
                     if ev.stage() != stage {
                         continue;
@@ -560,7 +524,7 @@ fn trace_frame(args: &Args) {
                 }
                 println!("{}", serde_json::to_string(ev).expect("event serializes"));
             }
-            let (n, d) = (out.trace.len(), out.trace.dropped());
+            let (n, d) = (trace.len(), trace.dropped());
             (out, n, d)
         }
     };
@@ -586,8 +550,8 @@ fn trace_frame(args: &Args) {
 }
 
 /// Per-frame two-stage acquisition report: one JSON line per frame with
-/// the sync attempt/rejection counters, then a `summary` line. Needs no
-/// trace feature — everything comes off the [`fdb_core::link::FrameOutcome`].
+/// the sync attempt/rejection counters, then a `summary` line. Everything
+/// comes off the [`fdb_core::link::FrameOutcome`].
 fn sync_report(args: &Args) {
     use serde::Serialize;
 

@@ -125,7 +125,7 @@ pub struct PhyConfig {
     /// without the field get the verified default.
     #[serde(default)]
     pub sync: SyncPolicy,
-    /// Per-frame trace ring capacity in events (`trace` feature); `None`
+    /// Per-frame trace ring capacity in events; `None`
     /// — including configs written before the field existed — resolves to
     /// [`crate::trace::DEFAULT_TRACE_CAPACITY`] via
     /// [`trace_ring_capacity`](PhyConfig::trace_ring_capacity).

@@ -25,8 +25,7 @@ pub enum PhyError {
         max: usize,
     },
     /// A trace sink could not be built or failed while writing (bad path,
-    /// full disk, or a sink requested in a build without the `trace`
-    /// feature).
+    /// full disk).
     TraceSink {
         /// Human-readable cause.
         reason: String,

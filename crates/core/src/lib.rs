@@ -37,16 +37,14 @@
 //! | [`link`] | the sample-synchronous two-device full-duplex link |
 //! | [`scratch`] | per-link arena of reusable frame-engine working buffers |
 //! | [`network`] | K coexisting links with first-order mutual scattering |
-//! | [`trace`] | frame-level per-stage diagnostics (captured under the `trace` feature) |
+//! | [`trace`] | frame-level per-stage diagnostics through pluggable trace sinks |
 //! | [`seed`] | deterministic seed derivation shared by every per-frame stream |
 //! | [`hash`] | canonical JSON + stable 128-bit content addressing for cached results |
 //! | [`error`] | error types |
 //!
-//! ## Feature flags
-//!
-//! * `trace` — [`link::FdLink::run_frame`] records a [`trace::FrameTrace`]
-//!   of per-stage events onto each [`link::FrameOutcome`]. Off by default;
-//!   when disabled the hot loop contains no tracing code at all.
+//! The crate has no cargo features: tracing is chosen at run time by
+//! attaching a [`trace::TraceSink`] to a frame run (see
+//! [`link::FrameRun::with_sink`]).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -25,19 +25,21 @@
 //! optional abort-on-NACK reflex, and reports everything a MAC needs
 //! (delivery, per-block status, feedback timeline, airtime, energy).
 //!
-//! Two frame engines share those semantics byte-for-byte: the per-sample
-//! reference loop ([`FdLink::run_frame_reference`], also the `trace`-build
-//! engine, whose probes need every sample) and the segmented block
-//! pipeline ([`FdLink::run_frame_block`], the non-trace `run_frame`
-//! engine). See `run_frame_block`'s docs for the edges that split blocks.
+//! Two frame engines share those semantics byte-for-byte, and
+//! [`FdLink::run_frame_into`] picks one from what the run attaches: with
+//! no trace sink it runs the segmented block pipeline; with a sink it runs
+//! the per-sample reference loop, whose probes need every sample. The
+//! reference loop is also callable directly
+//! ([`FdLink::run_frame_reference`]) as the oracle the block pipeline is
+//! tested against. See `run_frame_block`'s docs for the edges that split
+//! blocks.
 
 use crate::config::PhyConfig;
 use crate::error::PhyError;
 use crate::rx::{DataReceiver, RxResult, RxState};
 use crate::scratch::LinkScratch;
 use crate::sic::SelfInterferenceCanceller;
-#[cfg(feature = "trace")]
-use crate::trace::{FrameTrace, RingSink, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::tx::DataTransmitter;
 use fdb_ambient::{Ambient, AmbientConfig};
 use fdb_channel::awgn::Awgn;
@@ -220,7 +222,7 @@ impl RunOptions {
 /// points that replaced the `run_frame_faulted` /
 /// `run_frame_faulted_into` variant explosion.
 ///
-/// `FrameRun::default()` is a clean, ring-traced frame (identical to
+/// `FrameRun::default()` is a clean, untraced frame (identical to
 /// [`FdLink::run_frame`]); attach what the run needs through the
 /// constructors:
 ///
@@ -234,31 +236,27 @@ pub struct FrameRun<'a> {
     /// engine's own deterministic generator, never from the run's `rng`.
     pub faults: Option<&'a mut FrameFaults>,
     /// Caller-owned trace sink receiving the frame's diagnostic events
-    /// instead of the outcome's in-memory ring (`FrameOutcome::trace`
-    /// stays an empty placeholder). The caller owns frame bracketing:
-    /// call `sink.begin_frame` / `sink.end_frame` around the run.
-    #[cfg(feature = "trace")]
+    /// (`None` = untraced). Attaching one runs the frame on the per-sample
+    /// reference engine. The caller owns frame bracketing: call
+    /// `sink.begin_frame` / `sink.end_frame` around the run.
     pub sink: Option<&'a mut dyn TraceSink>,
 }
 
 impl<'a> FrameRun<'a> {
-    /// A clean, ring-traced frame — what [`FdLink::run_frame`] runs.
+    /// A clean, untraced frame — what [`FdLink::run_frame`] runs.
     pub fn clean() -> Self {
         FrameRun::default()
     }
 
     /// A frame with an optional fault schedule attached.
     pub fn faulted(faults: Option<&'a mut FrameFaults>) -> Self {
-        FrameRun {
-            faults,
-            #[cfg(feature = "trace")]
-            sink: None,
-        }
+        FrameRun { faults, sink: None }
     }
 
-    /// Streams the frame's diagnostic events into `sink` instead of the
-    /// outcome's in-memory ring.
-    #[cfg(feature = "trace")]
+    /// Streams the frame's diagnostic events into `sink` (a [`RingSink`]
+    /// keeps them in memory).
+    ///
+    /// [`RingSink`]: crate::trace::RingSink
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -290,7 +288,11 @@ pub struct FeedbackEvent {
 }
 
 /// Result of one frame run.
-#[derive(Debug, Clone)]
+///
+/// `FrameOutcome::default()` is an empty outcome, ready to be filled by
+/// [`FdLink::run_frame_into`]. It is cheap: no buffer is preallocated (the
+/// first frame run grows them — the reuse contract's warmup).
+#[derive(Debug, Clone, Default)]
 pub struct FrameOutcome {
     /// B's reception result (None if B never locked or header failed).
     pub delivered: Option<RxResult>,
@@ -333,37 +335,6 @@ pub struct FrameOutcome {
     /// (all zero unless the frame ran with an injection schedule — see
     /// [`FrameRun::faulted`]).
     pub fault_activations: FaultActivations,
-    /// Per-stage diagnostic event trace of the frame (`trace` feature).
-    #[cfg(feature = "trace")]
-    pub trace: FrameTrace,
-}
-
-impl Default for FrameOutcome {
-    /// An empty outcome, ready to be filled by
-    /// [`FdLink::run_frame_into`]. Cheap: no buffer is preallocated (the
-    /// first frame run grows them — the reuse contract's warmup).
-    fn default() -> Self {
-        FrameOutcome {
-            delivered: None,
-            b_locked: false,
-            sync_attempts: 0,
-            sync_rejections: 0,
-            feedback: Vec::new(),
-            pilots_verified: false,
-            aborted_at_sample: None,
-            airtime_samples: 0,
-            samples_run: 0,
-            energy: EnergyReport::default(),
-            nack: false,
-            partial_payload: Vec::new(),
-            partial_blocks: Vec::new(),
-            rx_timing_corrections: 0,
-            rx_sync_peak: 0.0,
-            fault_activations: FaultActivations::default(),
-            #[cfg(feature = "trace")]
-            trace: FrameTrace::new(1),
-        }
-    }
 }
 
 impl FrameOutcome {
@@ -447,9 +418,9 @@ impl FdLink {
     /// rebuilt fresh. The arena survives, so a per-slot rebuild (the MAC's
     /// rate ladder) allocates nothing in the steady state — unless the
     /// PHY actually changed (a rate switch), which is a warmup frame by
-    /// contract. (`Ambient::Tv`/`Recorded` sources hold sample buffers
-    /// and still reallocate per reinit; the evaluation configs use the
-    /// heap-free `Cw`/`TvWideband`/`OfdmBursty` models.)
+    /// contract. (`Ambient::Tv` sources hold a sample buffer and still
+    /// reallocate per reinit; the evaluation configs use the heap-free
+    /// `Cw`/`TvWideband`/`OfdmBursty` models.)
     pub fn reinit<R: Rng + ?Sized>(
         &mut self,
         cfg: &LinkConfig,
@@ -485,13 +456,10 @@ impl FdLink {
         &self.tag_b
     }
 
-    /// Runs one frame through the link.
+    /// Runs one clean, untraced frame through the link.
     ///
-    /// With the `trace` feature on, the frame's diagnostic events land in a
-    /// fresh bounded [`RingSink`] (capacity from
-    /// `PhyConfig::trace_ring_capacity`) attached as `FrameOutcome::trace`.
     /// Use [`run_frame_with`](FdLink::run_frame_with) to attach a fault
-    /// schedule and/or stream the events elsewhere instead.
+    /// schedule and/or a trace sink.
     pub fn run_frame<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -503,8 +471,8 @@ impl FdLink {
 
     /// Runs one frame with the [`FrameRun`] attachments: an optional
     /// scripted impairment schedule injected into the channel path, and
-    /// (under the `trace` feature) an optional caller-owned trace sink
-    /// replacing the outcome's in-memory ring.
+    /// an optional caller-owned trace sink receiving the frame's
+    /// diagnostic events.
     ///
     /// Faults draw randomness only from the [`FrameFaults`] engine's own
     /// deterministic generator, never from `rng`, so the main stream's
@@ -527,12 +495,17 @@ impl FdLink {
     ///
     /// This is the allocation-free steady-state entry point: every owned
     /// buffer already on `out` (the delivered payload and block list, the
-    /// feedback timeline, the partial-block staging, the trace ring) is
-    /// harvested and refilled in place, and the engines borrow the link's
+    /// feedback timeline, the partial-block staging) is harvested and
+    /// refilled in place, and the engines borrow the link's
     /// [`LinkScratch`] arena for their working sets. After a one-frame
-    /// warmup, re-running with the same `out` performs no heap allocation.
-    /// Every field of `out` is overwritten; stale state never leaks into
-    /// the new frame's result.
+    /// warmup, re-running with the same `out` (and the same sink, if one
+    /// is attached) performs no heap allocation. Every field of `out` is
+    /// overwritten; stale state never leaks into the new frame's result.
+    ///
+    /// The engine follows the attachments: an untraced run takes the block
+    /// pipeline, a traced run the per-sample reference pipeline (its
+    /// probes poll the receiver at every sample, which the block pipeline
+    /// by design does not). Both produce byte-identical `FrameOutcome`s.
     pub fn run_frame_into<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -541,42 +514,19 @@ impl FdLink {
         run: FrameRun<'_>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
-        // Trace builds take the per-sample reference pipeline — its probes
-        // poll the receiver at every sample, which the block pipeline by
-        // design does not. Non-trace builds take the block pipeline; both
-        // produce byte-identical `FrameOutcome`s.
-        #[cfg(feature = "trace")]
-        {
-            match run.sink {
-                Some(sink) => {
-                    // Caller-owned sink: the outcome's ring stays an empty
-                    // placeholder (its storage is retained for later
-                    // ring-traced frames).
-                    out.trace.reset(1);
-                    self.run_frame_scalar(payload, opts, rng, run.faults, sink, out)
-                }
-                None => {
-                    let mut trace = std::mem::take(&mut out.trace);
-                    trace.reset(self.cfg.phy.trace_ring_capacity());
-                    let mut ring = RingSink::from_trace(trace);
-                    let res =
-                        self.run_frame_scalar(payload, opts, rng, run.faults, &mut ring, out);
-                    out.trace = ring.into_trace();
-                    res
-                }
-            }
+        match run.sink {
+            Some(sink) => self.run_frame_scalar(payload, opts, rng, run.faults, Some(sink), out),
+            None => self.run_frame_block(payload, opts, rng, run.faults, out),
         }
-        #[cfg(not(feature = "trace"))]
-        self.run_frame_block_into(payload, opts, rng, run.faults, out)
     }
 
     /// Runs one frame through the preserved per-sample reference pipeline.
     ///
-    /// This is the original scalar loop, kept always-compiled as (a) the
-    /// oracle the block pipeline is equivalence-tested against and (b) the
-    /// baseline the `fdb-bench` pairs measure speedups from. With the
-    /// `trace` feature the diagnostic events land in the outcome's ring,
-    /// exactly like [`FdLink::run_frame`].
+    /// This is the original scalar loop — the engine behind traced
+    /// [`run_frame_into`](FdLink::run_frame_into) runs — called here with
+    /// no sink, as (a) the oracle the block pipeline is equivalence-tested
+    /// against and (b) the baseline the `fdb-bench` pairs measure speedups
+    /// from.
     pub fn run_frame_reference<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
@@ -600,28 +550,32 @@ impl FdLink {
         faults: Option<&mut FrameFaults>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
-        #[cfg(feature = "trace")]
-        {
-            let mut trace = std::mem::take(&mut out.trace);
-            trace.reset(self.cfg.phy.trace_ring_capacity());
-            let mut ring = RingSink::from_trace(trace);
-            let res = self.run_frame_scalar(payload, opts, rng, faults, &mut ring, out);
-            out.trace = ring.into_trace();
-            res
-        }
-        #[cfg(not(feature = "trace"))]
-        self.run_frame_scalar(payload, opts, rng, faults, out)
+        self.run_frame_scalar(payload, opts, rng, faults, None, out)
     }
 
+    /// The per-sample engine. Every probe reads state only when a sink is
+    /// attached. Inlined into both callers so the untraced reference run,
+    /// whose sink is a constant `None`, compiles without any probe code.
+    #[inline(always)]
     fn run_frame_scalar<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
         opts: &RunOptions,
         rng: &mut R,
         mut faults: Option<&mut FrameFaults>,
-        #[cfg(feature = "trace")] sink: &mut dyn TraceSink,
+        mut sink: Option<&mut dyn TraceSink>,
         out: &mut FrameOutcome,
     ) -> Result<(), PhyError> {
+        // Records one event if a sink is attached; the event expression
+        // is evaluated only then.
+        macro_rules! trace {
+            ($event:expr) => {
+                if let Some(sink) = sink.as_deref_mut() {
+                    sink.record($event);
+                }
+            };
+        }
+
         // Split the link into disjoint field borrows so the engine can
         // hold the scratch arena's components mutably while stepping the
         // channel and devices — no per-frame clone of the PHY config, no
@@ -710,12 +664,9 @@ impl FdLink {
         let fade_every = cfg.fading_advance_bits * spb;
 
         // Change-detection cursors for the polled receiver-side probes.
-        #[cfg(feature = "trace")]
         let (mut tr_chips, mut tr_bits, mut tr_blocks, mut tr_halves, mut tr_pilots) =
             (0usize, 0usize, 0usize, 0usize, 0usize);
-        #[cfg(feature = "trace")]
         let mut tr_rejects = 0usize;
-        #[cfg(feature = "trace")]
         let mut tr_pilots_checked = false;
 
         let mut samples_run = max_samples;
@@ -731,13 +682,14 @@ impl FdLink {
             let fx = match faults.as_deref_mut() {
                 Some(f) => {
                     let fx = f.effects_at(t);
-                    #[cfg(feature = "trace")]
-                    for (kind, active) in f.drain_transitions() {
-                        sink.record(TraceEvent::Fault {
-                            sample: t,
-                            kind: kind.into(),
-                            active,
-                        });
+                    if let Some(sink) = sink.as_deref_mut() {
+                        for (kind, active) in f.drain_transitions() {
+                            sink.record(TraceEvent::Fault {
+                                sample: t,
+                                kind: kind.into(),
+                                active,
+                            });
+                        }
                     }
                     if fx.ppm_offset != b_fault_ppm {
                         b_fault_ppm = fx.ppm_offset;
@@ -799,16 +751,14 @@ impl FdLink {
             tag_b.charge_awake(dt, true);
 
             // --- per-chip trace snapshot -------------------------------
-            #[cfg(feature = "trace")]
-            let chip_boundary = t % phy.samples_per_chip == 0;
-            #[cfg(feature = "trace")]
+            let chip_boundary = sink.is_some() && t.is_multiple_of(phy.samples_per_chip);
             if chip_boundary {
-                sink.record(TraceEvent::TxChip {
+                trace!(TraceEvent::TxChip {
                     sample: t,
                     chip: t / phy.samples_per_chip,
                     state: a_state,
                 });
-                sink.record(TraceEvent::Channel {
+                trace!(TraceEvent::Channel {
                     sample: t,
                     source_power_w: x * x,
                     env_a,
@@ -824,9 +774,8 @@ impl FdLink {
             let sic_b_out = sic_b
                 .correct(env_b, b_state)
                 .map(|v| if b_state { v * fx.sic_gain_b } else { v });
-            #[cfg(feature = "trace")]
             if chip_boundary || sic_b_out.is_none() {
-                sink.record(TraceEvent::Sic {
+                trace!(TraceEvent::Sic {
                     sample: t,
                     device: 'B',
                     own_state: b_state,
@@ -859,8 +808,7 @@ impl FdLink {
                         fb_enc.push_bit(b);
                     }
                 }
-                #[cfg(feature = "trace")]
-                sink.record(TraceEvent::RxRearm {
+                trace!(TraceEvent::RxRearm {
                     sample: t,
                     attempts: rx.sync_attempts(),
                 });
@@ -868,18 +816,13 @@ impl FdLink {
             if !b_was_locked && rx.state() != RxState::Acquiring {
                 b_was_locked = true;
                 b_epoch = Some(t + phy.feedback_guard_bits * spb);
-                #[cfg(feature = "trace")]
-                {
-                    let (score, _) = rx.sync_lock_info().unwrap_or((0.0, 0));
-                    sink.record(TraceEvent::RxLock {
-                        sample: t,
-                        score,
-                        peak_seen: rx.sync_peak_seen(),
-                    });
-                }
+                trace!(TraceEvent::RxLock {
+                    sample: t,
+                    score: rx.sync_lock_info().map_or(0.0, |(score, _)| score),
+                    peak_seen: rx.sync_peak_seen(),
+                });
             }
-            #[cfg(feature = "trace")]
-            {
+            if let Some(sink) = sink.as_deref_mut() {
                 let rejections = rx.rejections();
                 if rejections.len() != tr_rejects {
                     for r in rejections.iter().skip(tr_rejects) {
@@ -920,9 +863,8 @@ impl FdLink {
                 let sic_a_out = sic_a
                     .correct(env_a, a_state)
                     .map(|v| if a_state { v * fx.sic_gain_a } else { v });
-                #[cfg(feature = "trace")]
                 if chip_boundary || sic_a_out.is_none() {
-                    sink.record(TraceEvent::Sic {
+                    trace!(TraceEvent::Sic {
                         sample: t,
                         device: 'A',
                         own_state: a_state,
@@ -932,8 +874,7 @@ impl FdLink {
                 }
                 if let Some(corrected) = sic_a_out {
                     let decision = fb_dec.push(corrected);
-                    #[cfg(feature = "trace")]
-                    {
+                    if let Some(sink) = sink.as_deref_mut() {
                         if fb_dec.halves_seen() != tr_halves {
                             tr_halves = fb_dec.halves_seen();
                             sink.record(TraceEvent::FbHalf { sample: t, integral: fb_dec.last_half() });
@@ -957,8 +898,7 @@ impl FdLink {
                         }
                     }
                     if let Some(decision) = decision {
-                        #[cfg(feature = "trace")]
-                        sink.record(TraceEvent::FbBit {
+                        trace!(TraceEvent::FbBit {
                             sample: t,
                             bit: decision.bit,
                             margin: decision.margin,
@@ -975,8 +915,7 @@ impl FdLink {
                         {
                             tx.abort();
                             aborted_at = Some(t);
-                            #[cfg(feature = "trace")]
-                            sink.record(TraceEvent::Abort { sample: t });
+                            trace!(TraceEvent::Abort { sample: t });
                         }
                     }
                 }
@@ -1058,26 +997,10 @@ impl FdLink {
     /// slice entry points ([`DataReceiver::push_slice`]) once the header is
     /// accepted and a mid-block loss of lock is impossible.
     ///
-    /// This is the non-trace `run_frame` engine; it is public so benches
-    /// and equivalence tests can pit it against the reference on any build.
-    /// (`FrameOutcome::trace` stays empty on trace builds — per-sample
-    /// probes are exactly what this pipeline amortises away.)
-    pub fn run_frame_block<R: Rng + ?Sized>(
-        &mut self,
-        payload: &[u8],
-        opts: &RunOptions,
-        rng: &mut R,
-        faults: Option<&mut FrameFaults>,
-    ) -> Result<FrameOutcome, PhyError> {
-        let mut out = FrameOutcome::default();
-        self.run_frame_block_into(payload, opts, rng, faults, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`run_frame_block`](FdLink::run_frame_block) writing into a
-    /// caller-owned [`FrameOutcome`] (see
-    /// [`run_frame_into`](FdLink::run_frame_into) for the reuse contract).
-    pub fn run_frame_block_into<R: Rng + ?Sized>(
+    /// This is the untraced [`run_frame_into`](FdLink::run_frame_into)
+    /// engine; it records no trace events — per-sample probes are exactly
+    /// what this pipeline amortises away.
+    fn run_frame_block<R: Rng + ?Sized>(
         &mut self,
         payload: &[u8],
         opts: &RunOptions,
@@ -1099,8 +1022,6 @@ impl FdLink {
         } = self;
         let source_amp = *source_amp;
         begin_outcome(scratch, out);
-        #[cfg(feature = "trace")]
-        out.trace.reset(1);
         let phy = &cfg.phy;
         let dt = phy.sample_period_s();
         let spb = phy.samples_per_bit();
@@ -1528,9 +1449,8 @@ impl FdLink {
 /// Harvests the reusable storage a previous frame left on `out` back into
 /// the arena before the new frame overwrites it: the delivered
 /// [`RxResult`]'s buffers return to the receiver's spare pool and the
-/// feedback timeline is cleared in place. (The partial-block staging and
-/// the trace ring are recycled by [`finish_into`] and the `run_frame_*`
-/// wrappers respectively.)
+/// feedback timeline is cleared in place. (The partial-block staging is
+/// recycled by [`finish_into`].)
 fn begin_outcome(scratch: &mut LinkScratch, out: &mut FrameOutcome) {
     if let Some(delivered) = out.delivered.take() {
         scratch.rx.recycle_result(delivered);
@@ -1694,8 +1614,7 @@ mod tests {
         assert!(out.airtime_samples > 0);
     }
 
-    /// Field-by-field byte identity of two outcomes (trace excluded — the
-    /// block pipeline deliberately records no per-sample probes).
+    /// Field-by-field byte identity of two outcomes.
     fn assert_outcomes_identical(a: &FrameOutcome, b: &FrameOutcome, what: &str) {
         assert_eq!(a.delivered, b.delivered, "{what}: delivered");
         assert_eq!(a.b_locked, b.b_locked, "{what}: b_locked");
@@ -1741,11 +1660,26 @@ mod tests {
         );
     }
 
+    /// Runs one frame through `run_frame_into` with no sink attached (the
+    /// block pipeline), reusing `out` like the runner does.
+    fn dispatch_into<R: Rng + ?Sized>(
+        link: &mut FdLink,
+        payload: &[u8],
+        opts: &RunOptions,
+        rng: &mut R,
+        faults: Option<&mut FrameFaults>,
+        out: &mut FrameOutcome,
+    ) {
+        link.run_frame_into(payload, opts, rng, FrameRun::faulted(faults), out)
+            .unwrap();
+    }
+
     /// Runs `frames` back-to-back frames through two identically-seeded
-    /// links — one on the reference engine, one on the block pipeline —
-    /// and requires byte-identical outcomes every frame (back-to-back so
-    /// persistent device/energy/fading state must stay aligned too).
-    fn assert_block_matches_reference(
+    /// links — one on the reference engine, one through the untraced
+    /// `run_frame_into` dispatch — and requires byte-identical outcomes
+    /// every frame (back-to-back so persistent device/energy/fading state
+    /// must stay aligned too).
+    fn assert_dispatch_matches_reference(
         cfg: LinkConfig,
         payload: &[u8],
         opts: &RunOptions,
@@ -1757,19 +1691,20 @@ mod tests {
         let mut rng_b = ChaCha8Rng::seed_from_u64(seed);
         let mut link_r = FdLink::new(cfg.clone(), &mut rng_r).unwrap();
         let mut link_b = FdLink::new(cfg, &mut rng_b).unwrap();
+        let (mut r, mut b) = (FrameOutcome::default(), FrameOutcome::default());
         for k in 0..frames {
-            let r = link_r
-                .run_frame_reference(payload, opts, &mut rng_r, None)
+            link_r
+                .run_frame_reference_into(payload, opts, &mut rng_r, None, &mut r)
                 .unwrap();
-            let b = link_b.run_frame_block(payload, opts, &mut rng_b, None).unwrap();
+            dispatch_into(&mut link_b, payload, opts, &mut rng_b, None, &mut b);
             assert_outcomes_identical(&r, &b, &format!("{what} frame {k}"));
         }
     }
 
     #[test]
-    fn block_matches_reference_quiet_cw() {
+    fn dispatch_matches_reference_quiet_cw() {
         let payload: Vec<u8> = (0..64u8).collect();
-        assert_block_matches_reference(
+        assert_dispatch_matches_reference(
             quiet_cfg(),
             &payload,
             &RunOptions::fd_monitor(),
@@ -1777,7 +1712,7 @@ mod tests {
             2,
             "cw fd_monitor",
         );
-        assert_block_matches_reference(
+        assert_dispatch_matches_reference(
             quiet_cfg(),
             &payload,
             &RunOptions::half_duplex(),
@@ -1788,9 +1723,9 @@ mod tests {
     }
 
     #[test]
-    fn block_matches_reference_tv_wideband() {
+    fn dispatch_matches_reference_tv_wideband() {
         let payload: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(37)).collect();
-        assert_block_matches_reference(
+        assert_dispatch_matches_reference(
             LinkConfig::default_fd(),
             &payload,
             &RunOptions::fd_monitor(),
@@ -1801,12 +1736,12 @@ mod tests {
     }
 
     #[test]
-    fn block_matches_reference_with_fading_and_stream() {
+    fn dispatch_matches_reference_with_fading_and_stream() {
         let mut cfg = quiet_cfg();
         cfg.fading_advance_bits = 16;
         cfg.geometry.fading_source = Fading::rayleigh(50.0);
         let payload = vec![0x3Cu8; 120];
-        assert_block_matches_reference(
+        assert_dispatch_matches_reference(
             cfg,
             &payload,
             &RunOptions {
@@ -1820,7 +1755,7 @@ mod tests {
     }
 
     #[test]
-    fn block_matches_reference_early_abort() {
+    fn dispatch_matches_reference_early_abort() {
         // Ruin the channel mid-frame with a scripted burst so B NACKs and
         // A's abort reflex fires — the hardest control-feedback path.
         use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
@@ -1844,15 +1779,14 @@ mod tests {
         let r = link_r
             .run_frame_reference(&payload, &opts, &mut rng_r, Some(&mut faults_r))
             .unwrap();
-        let b = link_b
-            .run_frame_block(&payload, &opts, &mut rng_b, Some(&mut faults_b))
-            .unwrap();
+        let mut b = FrameOutcome::default();
+        dispatch_into(&mut link_b, &payload, &opts, &mut rng_b, Some(&mut faults_b), &mut b);
         assert_outcomes_identical(&r, &b, "early abort");
         assert!(r.aborted_at_sample.is_some(), "burst failed to provoke abort");
     }
 
     #[test]
-    fn block_matches_reference_under_fault_grid() {
+    fn dispatch_matches_reference_under_fault_grid() {
         // One representative of every fault class, windows straddling
         // acquisition, header, payload and the feedback epoch.
         use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
@@ -1931,10 +1865,57 @@ mod tests {
             let r = link_r
                 .run_frame_reference(&payload, &opts, &mut rng_r, Some(&mut faults_r))
                 .unwrap();
-            let b = link_b
-                .run_frame_block(&payload, &opts, &mut rng_b, Some(&mut faults_b))
-                .unwrap();
+            let mut b = FrameOutcome::default();
+            dispatch_into(&mut link_b, &payload, &opts, &mut rng_b, Some(&mut faults_b), &mut b);
             assert_outcomes_identical(&r, &b, name);
+        }
+    }
+
+    #[test]
+    fn attached_sink_leaves_outcome_byte_identical() {
+        // A sink switches `run_frame_into` to the per-sample engine; the
+        // outcome must not notice, on clean and faulted frames alike.
+        use crate::trace::CollectSink;
+        use fdb_channel::impairment::{FaultKind, FaultTarget, ScheduledFault};
+        let schedule = vec![ScheduledFault {
+            start: 3_000,
+            duration: 1_200,
+            kind: FaultKind::NoiseBurst {
+                power_dbm: -60.0,
+                target: FaultTarget::B,
+            },
+        }];
+        let payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(13)).collect();
+        for (name, faulted) in [("clean", false), ("faulted", true)] {
+            let mut rng_p = ChaCha8Rng::seed_from_u64(206);
+            let mut rng_t = ChaCha8Rng::seed_from_u64(206);
+            let mut link_p = FdLink::new(LinkConfig::default_fd(), &mut rng_p).unwrap();
+            let mut link_t = FdLink::new(LinkConfig::default_fd(), &mut rng_t).unwrap();
+            let mut faults_p = FrameFaults::new(schedule.clone(), 5);
+            let mut faults_t = FrameFaults::new(schedule.clone(), 5);
+            let mut sink = CollectSink::new();
+            let (mut plain, mut traced) = (FrameOutcome::default(), FrameOutcome::default());
+            let opts = RunOptions::fd_monitor();
+            for k in 0..2 {
+                dispatch_into(
+                    &mut link_p,
+                    &payload,
+                    &opts,
+                    &mut rng_p,
+                    faulted.then_some(&mut faults_p),
+                    &mut plain,
+                );
+                let events_before = sink.events().len();
+                let run = FrameRun::faulted(faulted.then_some(&mut faults_t)).with_sink(&mut sink);
+                link_t
+                    .run_frame_into(&payload, &opts, &mut rng_t, run, &mut traced)
+                    .unwrap();
+                assert!(sink.events().len() > events_before, "{name}: sink saw nothing");
+                assert_outcomes_identical(&plain, &traced, &format!("{name} frame {k}"));
+            }
+            if faulted {
+                assert!(traced.fault_activations.total() > 0, "fault never opened");
+            }
         }
     }
 

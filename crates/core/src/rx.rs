@@ -178,7 +178,10 @@ impl DataReceiver {
             searcher,
             preamble_chip_pattern: preamble_chips,
             sync_attempts: 0,
-            rejections: Vec::new(),
+            // The documented bound, reserved up front so a missed-lock
+            // frame never grows it mid-run (capped: a huge budget means
+            // "effectively unlimited", not memory to set aside).
+            rejections: Vec::with_capacity(cfg.sync.max_rearms.saturating_add(1).min(64)),
             nack_latch: false,
             header_accepted: false,
             timing_prefix: Vec::new(),

@@ -1,9 +1,9 @@
 //! Frame-level diagnostics: structured per-stage event capture through
 //! pluggable **trace sinks**.
 //!
-//! When the `trace` cargo feature is enabled, [`crate::link::FdLink::run_frame`]
-//! emits a [`TraceEvent`] stream through a [`TraceSink`]. The stream covers
-//! every stage of the PHY pipeline:
+//! A frame run with a [`TraceSink`] attached
+//! ([`crate::link::FrameRun::with_sink`]) emits a [`TraceEvent`] stream
+//! into it. The stream covers every stage of the PHY pipeline:
 //!
 //! * **tx** — chip emission ([`TraceEvent::TxChip`]);
 //! * **channel** — instantaneous source power and both detector envelopes
@@ -31,8 +31,7 @@
 //!
 //! ## Choosing a sink backend
 //!
-//! * [`RingSink`] — the default inside `run_frame`: a bounded in-memory
-//!   ring ([`FrameTrace`]) carried on `FrameOutcome::trace`. When it
+//! * [`RingSink`] — a bounded in-memory ring ([`FrameTrace`]). When it
 //!   overflows, the *oldest* events are evicted and counted, so the tail
 //!   of a frame — where failures usually manifest — is always retained.
 //!   Pick it to inspect one frame interactively (tests, the probe CLI's
@@ -58,9 +57,8 @@
 //! `fdb_sim::MeasureSpec`), so a scenario JSON can request streaming
 //! capture without code changes.
 //!
-//! With the feature disabled this module still compiles (it has no
-//! feature-gated items itself) but nothing constructs a sink, and
-//! `run_frame` contains no tracing code at all — zero hot-path cost.
+//! Without a sink, `run_frame` runs the block pipeline, which contains no
+//! tracing code at all — zero hot-path cost.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -257,21 +255,6 @@ pub struct FrameTrace {
     dropped: usize,
 }
 
-impl Default for FrameTrace {
-    /// An empty trace with the default capacity *bound* but no storage —
-    /// ring memory grows on first record. This keeps `Default` cheap
-    /// enough to serve as `mem::take`'s placeholder on the frame hot
-    /// path, where the real ring is recycled through
-    /// [`FrameTrace::reset`] every frame.
-    fn default() -> Self {
-        FrameTrace {
-            events: VecDeque::new(),
-            capacity: DEFAULT_TRACE_CAPACITY,
-            dropped: 0,
-        }
-    }
-}
-
 impl FrameTrace {
     /// Creates an empty trace holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
@@ -281,16 +264,6 @@ impl FrameTrace {
             capacity,
             dropped: 0,
         }
-    }
-
-    /// Clears the trace for reuse with a (possibly new) capacity bound,
-    /// retaining the event storage already grown — the frame hot path
-    /// recycles each outcome's ring through here instead of allocating a
-    /// fresh one per frame.
-    pub fn reset(&mut self, capacity: usize) {
-        self.events.clear();
-        self.capacity = capacity.max(1);
-        self.dropped = 0;
     }
 
     /// Appends an event, evicting the oldest once full.
@@ -405,19 +378,12 @@ impl RingSink {
         }
     }
 
-    /// Wraps an existing (typically [`FrameTrace::reset`]) ring, reusing
-    /// its storage. The recorded counter starts at zero.
-    pub fn from_trace(trace: FrameTrace) -> Self {
-        RingSink { trace, recorded: 0 }
-    }
-
     /// The ring so far.
     pub fn trace(&self) -> &FrameTrace {
         &self.trace
     }
 
-    /// Consumes the sink, handing the ring to the caller (how
-    /// `run_frame` attaches it to `FrameOutcome::trace`).
+    /// Consumes the sink, handing the ring to the caller.
     pub fn into_trace(self) -> FrameTrace {
         self.trace
     }

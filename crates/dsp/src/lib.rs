@@ -30,13 +30,11 @@
 //! | [`stats`] | BER counters, Wilson intervals, Welford, EWMA, histograms |
 //! | [`math`] | erf/erfc/Q, Marcum Q₁, Bessel I₀ special functions |
 //! | [`resample`] | fractional resampler (models clock-rate mismatch) |
-//! | [`agc`] | automatic gain normalisation for envelope streams |
 //! | [`threshold`] | adaptive slicers (peak-tracking and two-means) |
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod agc;
 pub mod correlate;
 pub mod crc;
 pub mod envelope;

@@ -73,9 +73,6 @@ pub enum SubmitError {
         /// The configured bound that was hit.
         depth: usize,
     },
-    /// Trace streaming was requested but this build lacks the `trace`
-    /// feature.
-    TraceUnavailable,
     /// The pool is shutting down.
     ShuttingDown,
 }
@@ -86,9 +83,6 @@ impl std::fmt::Display for SubmitError {
             SubmitError::Invalid(why) => write!(f, "invalid job: {why}"),
             SubmitError::QueueFull { depth } => {
                 write!(f, "queue full ({depth} jobs waiting)")
-            }
-            SubmitError::TraceUnavailable => {
-                write!(f, "trace streaming requires a `trace`-feature build")
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -183,9 +177,6 @@ impl WorkerPool {
     ) -> Result<SubmitHandle, SubmitError> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
-        }
-        if stream_trace && !cfg!(feature = "trace") {
-            return Err(SubmitError::TraceUnavailable);
         }
         job.validate().map_err(SubmitError::Invalid)?;
         let hash = job.content_hash();
@@ -345,32 +336,24 @@ fn run_with_optional_trace(
         let _ = events; // only the traced path forwards through `events`
         return spec.run(ctrl).map(|r| r.canonical_json());
     }
-    #[cfg(not(feature = "trace"))]
-    {
-        // submit() already rejected this combination.
-        unreachable!("stream_trace admitted without the trace feature")
-    }
-    #[cfg(feature = "trace")]
-    {
-        let (tx, rx) = std::sync::mpsc::channel::<TraceChunk>();
-        let forward_events = Arc::clone(events);
-        let forwarder = std::thread::spawn(move || {
-            for chunk in rx {
-                forward_events(JobEvent::Trace(chunk));
-            }
-        });
-        // Match the frame cap a spec-built JsonlFileSink would use for
-        // this job, so streamed chunks stay byte-identical to the file a
-        // direct traced run writes even for configs with a custom cap.
-        let mut sink = fdb_core::trace::ChannelSink::new(tx);
-        if let JobSpec::Link { link, .. } = spec {
-            sink = sink.with_frame_cap(link.phy.trace_ring_capacity());
+    let (tx, rx) = std::sync::mpsc::channel::<TraceChunk>();
+    let forward_events = Arc::clone(events);
+    let forwarder = std::thread::spawn(move || {
+        for chunk in rx {
+            forward_events(JobEvent::Trace(chunk));
         }
-        let outcome = spec.run(ctrl.with_sink(&mut sink)).map(|r| r.canonical_json());
-        drop(sink); // hang up so the forwarder drains and exits
-        let _ = forwarder.join();
-        outcome
+    });
+    // Match the frame cap a spec-built JsonlFileSink would use for this
+    // job, so streamed chunks stay byte-identical to the file a direct
+    // traced run writes even for configs with a custom cap.
+    let mut sink = fdb_core::trace::ChannelSink::new(tx);
+    if let JobSpec::Link { link, .. } = spec {
+        sink = sink.with_frame_cap(link.phy.trace_ring_capacity());
     }
+    let outcome = spec.run(ctrl.with_sink(&mut sink)).map(|r| r.canonical_json());
+    drop(sink); // hang up so the forwarder drains and exits
+    let _ = forwarder.join();
+    outcome
 }
 
 #[cfg(test)]
@@ -544,7 +527,6 @@ mod tests {
         pool.shutdown();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn streamed_trace_matches_file_sink_bytes() {
         use fdb_core::trace::JsonlFileSink;

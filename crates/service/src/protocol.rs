@@ -80,8 +80,8 @@ pub enum Response {
         /// Job kind label (`link` / `matrix` / `scenario` / `ablation`).
         kind: String,
     },
-    /// The submission was refused (invalid spec, full queue, trace
-    /// streaming without the `trace` feature, shutdown in progress).
+    /// The submission was refused (invalid spec, full queue, shutdown in
+    /// progress).
     Rejected {
         /// Human-readable refusal reason.
         reason: String,

@@ -156,7 +156,6 @@ fn socket_conversation_end_to_end() {
 /// `Trace` chunk text of a streamed link job equals the file a
 /// `JsonlFileSink` writes for the same `(config, spec, seed)`, byte for
 /// byte — and streamed submissions never populate the cache.
-#[cfg(feature = "trace")]
 #[test]
 fn socket_streamed_trace_matches_file_sink() {
     use fdb_core::trace::JsonlFileSink;

@@ -52,6 +52,4 @@ pub use matrix::MatrixCell;
 pub use scenario::{AblationPair, FaultSource, PairOutcome, ScenarioSpec};
 pub use metrics::LinkMetrics;
 pub use runner::{run_link, LinkRun, MeasureSpec};
-pub use sweep::parallel_sweep;
-#[cfg(feature = "trace")]
-pub use sweep::parallel_sweep_traced;
+pub use sweep::{parallel_sweep, parallel_sweep_traced};

@@ -5,9 +5,7 @@ use crate::metrics::LinkMetrics;
 use fdb_channel::impairment::FrameFaults;
 use fdb_core::frame::bytes_to_bits_into;
 use fdb_core::link::{FdLink, FeedbackPolicy, FrameOutcome, FrameRun, LinkConfig, RunOptions};
-#[cfg(feature = "trace")]
-use fdb_core::trace::TraceSink;
-use fdb_core::trace::TraceSinkSpec;
+use fdb_core::trace::{TraceSink, TraceSinkSpec};
 use fdb_core::PhyError;
 use fdb_dsp::prbs::{Prbs, PrbsOrder};
 use rand::Rng;
@@ -29,9 +27,7 @@ pub struct MeasureSpec {
     /// `Some(true)` = known PRBS stream (enables feedback BER measurement).
     pub feedback_probe: Option<bool>,
     /// Where per-frame diagnostic events go ([`TraceSinkSpec::Null`] =
-    /// no capture). Non-null sinks need the `trace` feature; requesting
-    /// one in a build without it is a [`PhyError::TraceSink`] error.
-    /// Older spec JSON without the field gets `Null`.
+    /// no capture). Older spec JSON without the field gets `Null`.
     #[serde(default)]
     pub trace: TraceSinkSpec,
     /// Scripted impairment schedule injected into the run (`None` = clean
@@ -125,7 +121,6 @@ pub struct LinkRun<'a> {
     /// (frames bracketed with `begin_frame`/`end_frame`); takes precedence
     /// over `spec.trace`. The sink's recorded/dropped deltas land on
     /// `LinkMetrics::trace_events` / `trace_dropped`.
-    #[cfg(feature = "trace")]
     pub sink: Option<&'a mut dyn TraceSink>,
     /// Per-frame observer: `observe(frame_index, outcome)` runs on every
     /// raw [`FrameOutcome`] before aggregation (the conformance harness
@@ -158,7 +153,6 @@ impl<'a> LinkRun<'a> {
 
     /// Streams every frame's diagnostic events into a caller-owned sink
     /// (overrides `spec.trace`).
-    #[cfg(feature = "trace")]
     pub fn with_sink(mut self, sink: &'a mut dyn TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -174,44 +168,30 @@ impl<'a> LinkRun<'a> {
 /// run's random streams. Trace capture follows `run.sink` if present,
 /// else `spec.trace` (see [`MeasureSpec::with_trace`]); either way the
 /// sink's recorded/dropped totals land on `LinkMetrics::trace_events` /
-/// `LinkMetrics::trace_dropped`, and a non-null sink needs the `trace`
-/// feature.
+/// `LinkMetrics::trace_dropped`. Traced frames run on the per-sample
+/// engine, untraced ones on the block pipeline; the metrics are identical.
 pub fn run_link(
     cfg: &LinkConfig,
     spec: &MeasureSpec,
     run: LinkRun<'_>,
 ) -> Result<LinkMetrics, PhyError> {
-    #[cfg(feature = "trace")]
-    {
-        match run.sink {
-            Some(sink) => run_link_sinked(cfg, spec, run.observe, run.cancel, sink),
-            None if !spec.trace.is_null() => {
-                let mut sink = spec
-                    .trace
-                    .build(cfg.phy.trace_ring_capacity())
-                    .map_err(|e| PhyError::TraceSink {
-                        reason: e.to_string(),
-                    })?;
-                run_link_sinked(cfg, spec, run.observe, run.cancel, sink.as_mut())
-            }
-            None => run_link_inner(cfg, spec, run.observe, run.cancel, None),
+    match run.sink {
+        Some(sink) => run_link_sinked(cfg, spec, run.observe, run.cancel, sink),
+        None if !spec.trace.is_null() => {
+            let mut sink = spec
+                .trace
+                .build(cfg.phy.trace_ring_capacity())
+                .map_err(|e| PhyError::TraceSink {
+                    reason: e.to_string(),
+                })?;
+            run_link_sinked(cfg, spec, run.observe, run.cancel, sink.as_mut())
         }
-    }
-    #[cfg(not(feature = "trace"))]
-    {
-        if !spec.trace.is_null() {
-            return Err(PhyError::TraceSink {
-                reason: "spec requests a trace sink but this build lacks the `trace` feature"
-                    .into(),
-            });
-        }
-        run_link_inner(cfg, spec, run.observe, run.cancel)
+        None => run_link_inner(cfg, spec, run.observe, run.cancel, None),
     }
 }
 
 /// [`run_link`] with the frames streamed into `sink`, trace counters set
 /// from the sink's deltas, and the sink's backend error surfaced.
-#[cfg(feature = "trace")]
 fn run_link_sinked(
     cfg: &LinkConfig,
     spec: &MeasureSpec,
@@ -229,9 +209,8 @@ fn run_link_sinked(
     }
 }
 
-/// The measurement loop. With the `trace` feature and a sink present,
-/// each frame runs through [`FdLink::run_frame_into`] bracketed by the
-/// sink's frame markers; otherwise through a plain ring-traced run.
+/// The measurement loop: each frame runs through [`FdLink::run_frame_into`],
+/// bracketed by the sink's frame markers when a sink is present.
 ///
 /// The loop owns one of everything — outcome, payload buffer, fault
 /// engine, BER staging — and re-arms it per frame, so after the first
@@ -242,7 +221,7 @@ fn run_link_inner(
     spec: &MeasureSpec,
     mut observe: Option<&mut FrameObserver<'_>>,
     cancel: Option<&dyn Fn() -> bool>,
-    #[cfg(feature = "trace")] mut sink: Option<&mut dyn TraceSink>,
+    mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<LinkMetrics, PhyError> {
     if let Some(plan) = &spec.faults {
         plan.validate().map_err(|reason| PhyError::InvalidConfig {
@@ -281,7 +260,6 @@ fn run_link_inner(
             abort_on_nack: false,
         },
     };
-    #[cfg(feature = "trace")]
     if let Some(s) = sink.as_deref_mut() {
         s.reserve(cfg.phy.trace_ring_capacity());
     }
@@ -308,7 +286,6 @@ fn run_link_inner(
             None => false,
         };
         let frame_faults = has_faults.then_some(&mut fault_engine);
-        #[cfg(feature = "trace")]
         match sink.as_deref_mut() {
             Some(s) => {
                 s.begin_frame(frame_idx);
@@ -329,14 +306,6 @@ fn run_link_inner(
                 &mut out,
             )?,
         }
-        #[cfg(not(feature = "trace"))]
-        link.run_frame_into(
-            &payload,
-            &opts,
-            &mut rng,
-            FrameRun::faulted(frame_faults),
-            &mut out,
-        )?;
         if let Some(observe) = observe.as_deref_mut() {
             observe(frame_idx, &out);
         }
@@ -475,17 +444,6 @@ mod tests {
         assert_eq!(m.fully_delivered, 2);
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn trace_spec_without_feature_errors() {
-        let spec = MeasureSpec::quick(1).with_trace(TraceSinkSpec::Collect);
-        assert!(matches!(
-            run_link(&clean_cfg(), &spec, LinkRun::new()),
-            Err(PhyError::TraceSink { .. })
-        ));
-    }
-
-    #[cfg(feature = "trace")]
     #[test]
     fn sink_spec_populates_trace_counters() {
         let spec = MeasureSpec {
@@ -505,7 +463,6 @@ mod tests {
         assert_eq!(m.trace_events, 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn with_trace_builder_does_not_perturb_metrics() {
         let base = MeasureSpec {

@@ -11,9 +11,7 @@
 //! results are re-assembled in input order afterwards, so the output is
 //! independent of scheduling.
 
-#[cfg(feature = "trace")]
 use fdb_core::trace::JsonlFileSink;
-#[cfg(feature = "trace")]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -85,7 +83,6 @@ where
 ///
 /// On any sink or merge I/O error the sweep returns `Err`; part files
 /// that were already merged are gone, unmerged ones are cleaned up.
-#[cfg(feature = "trace")]
 pub fn parallel_sweep_traced<P, R, F>(
     points: &[P],
     threads: usize,
@@ -223,7 +220,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_sweep_merges_part_files_in_point_order() {
         use fdb_core::trace::{parse_trace_line, TraceEvent, TraceLine, TraceSink};

@@ -44,7 +44,7 @@ pub use fdb_dsp as dsp;
 /// Wireless channel substrate: path loss, fading, noise, link budgets.
 pub use fdb_channel as channel;
 
-/// Ambient RF excitation sources (TV, OFDM, CW, recorded).
+/// Ambient RF excitation sources (TV, OFDM, CW).
 pub use fdb_ambient as ambient;
 
 /// Passive-tag hardware models: antenna switch, detector, harvester, clock.
@@ -63,8 +63,6 @@ pub use fdb_sim as sim;
 /// Closed-form performance models and theory-vs-simulation validators.
 pub use fdb_analysis as analysis;
 
-/// Trace-layer helpers for tests and debugging (`trace` feature only).
-#[cfg(feature = "trace")]
 pub mod testing;
 
 /// The types most programs need.

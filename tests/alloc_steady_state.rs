@@ -1,9 +1,14 @@
-//! The tentpole's zero-allocation contract, pinned with a counting
-//! global allocator: after a one-frame warmup, steady-state frames on the
-//! clean-link, faulted-link, and MAC-session paths perform **zero** heap
-//! allocations — for both frame engines (per-sample reference and block),
-//! with and without the `trace` feature (this file compiles under both
-//! configs; CI runs it twice).
+//! The zero-allocation contract, pinned with a counting global
+//! allocator: after a one-frame warmup, steady-state frames on the
+//! clean-link, faulted-link, traced-link and MAC-session paths perform
+//! **zero** heap allocations — through the untraced dispatch (block
+//! pipeline), the traced dispatch (per-sample engine into a reused ring
+//! sink) and the forced reference engine.
+//!
+//! The link scenarios re-initialise the link every [`REINIT_EVERY`]
+//! frames and assert that both tags are alive on every counted frame, so
+//! the count covers live frames (a tag that ran out of energy turns the
+//! rest of the run into cheap dead-tag frames).
 //!
 //! The counter is thread-local, so parallel test threads can't perturb
 //! each other's tallies. Only allocation *requests* are counted
@@ -15,6 +20,7 @@ use std::cell::Cell;
 
 use fd_backscatter::channel::impairment::{FaultKind, FrameFaults, ScheduledFault};
 use fd_backscatter::mac::scenario::{run_session, RatePolicy, SessionConfig};
+use fd_backscatter::phy::trace::{RingSink, TraceSink};
 use fd_backscatter::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -83,6 +89,10 @@ fn record_alloc(name: &str, allocs: u64, frames: u64) {
 /// per-sample engine simulates every sample so keep the payload small.
 const STEADY_FRAMES: u64 = 1000;
 
+/// Frames between link re-initialisations: well inside the ~190 frames
+/// the default tags' stored energy lasts back to back.
+const REINIT_EVERY: u64 = 100;
+
 fn link_cfg() -> LinkConfig {
     let mut cfg = LinkConfig::default_fd();
     cfg.geometry.device_dist_m = 0.5;
@@ -91,29 +101,35 @@ fn link_cfg() -> LinkConfig {
 
 #[derive(Clone, Copy)]
 enum Engine {
-    /// `run_frame_into` — the production dispatch (block engine on
-    /// non-trace builds, reference on trace builds).
+    /// `run_frame_into` with no sink — the production dispatch (block
+    /// pipeline).
     Dispatch,
+    /// `run_frame_into` with a reused, caller-owned [`RingSink`] attached
+    /// (per-sample engine; the ring evicts in place once full).
+    TracedDispatch,
     /// The per-sample reference pipeline, forced.
     Reference,
-    /// The segmented block pipeline, forced.
-    Block,
 }
 
 /// Runs `frames` frames over one link with fully reused buffers and
 /// returns the allocations counted from the start of frame 1 (i.e.
 /// excluding the warmup frame 0, which may grow every buffer).
 fn steady_state_allocs(engine: Engine, frames: u64, faulted: bool) -> u64 {
+    let cfg = link_cfg();
     let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let mut link = FdLink::new(link_cfg(), &mut rng).unwrap();
+    let mut link = FdLink::new(cfg.clone(), &mut rng).unwrap();
     let payload: Vec<u8> = (0..32u8).collect();
     let opts = RunOptions::fd_monitor();
     let mut out = FrameOutcome::default();
     let mut engine_faults = FrameFaults::new(Vec::new(), 0);
+    let mut ring = RingSink::new(cfg.phy.trace_ring_capacity());
     let mut start = 0u64;
     for frame in 0..frames {
         if frame == 1 {
             start = allocs_on_this_thread();
+        }
+        if frame > 0 && frame % REINIT_EVERY == 0 {
+            link.reinit(&cfg, &mut rng).unwrap();
         }
         let faults = if faulted {
             engine_faults.rearm(
@@ -134,17 +150,28 @@ fn steady_state_allocs(engine: Engine, frames: u64, faulted: bool) -> u64 {
             Engine::Dispatch => link
                 .run_frame_into(&payload, &opts, &mut rng, FrameRun::faulted(faults), &mut out)
                 .unwrap(),
+            Engine::TracedDispatch => {
+                ring.begin_frame(frame);
+                let run = FrameRun::faulted(faults).with_sink(&mut ring);
+                link.run_frame_into(&payload, &opts, &mut rng, run, &mut out)
+                    .unwrap();
+                ring.end_frame();
+            }
             Engine::Reference => link
                 .run_frame_reference_into(&payload, &opts, &mut rng, faults, &mut out)
-                .unwrap(),
-            Engine::Block => link
-                .run_frame_block_into(&payload, &opts, &mut rng, faults, &mut out)
                 .unwrap(),
         }
         // Consume the outcome the way the runner does, so the borrow
         // checker can't optimise the frame away and delivered results are
         // genuinely produced each frame.
         assert!(out.samples_run > 0);
+        assert!(
+            link.tag_a().is_alive() && link.tag_b().is_alive(),
+            "a tag died by frame {frame}: the count would cover dead-tag frames"
+        );
+    }
+    if matches!(engine, Engine::TracedDispatch) {
+        assert!(ring.events_dropped() > 0, "the ring never filled and recycled");
     }
     allocs_on_this_thread() - start
 }
@@ -157,27 +184,24 @@ fn clean_link_reference_engine_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn clean_link_block_engine_is_allocation_free_after_warmup() {
-    let n = steady_state_allocs(Engine::Block, STEADY_FRAMES, false);
-    record_alloc("clean_link_block", n, STEADY_FRAMES - 1);
-    assert_eq!(n, 0, "block engine allocated {n} times in steady state");
-}
-
-#[test]
 fn clean_link_dispatch_is_allocation_free_after_warmup() {
-    // Covers the trace-on path too: on `trace` builds `run_frame_into`
-    // routes through the reference engine and recycles the outcome's
-    // trace ring in place.
     let n = steady_state_allocs(Engine::Dispatch, STEADY_FRAMES, false);
     record_alloc("clean_link_dispatch", n, STEADY_FRAMES - 1);
     assert_eq!(n, 0, "run_frame_into allocated {n} times in steady state");
 }
 
 #[test]
+fn traced_link_dispatch_is_allocation_free_after_warmup() {
+    let n = steady_state_allocs(Engine::TracedDispatch, STEADY_FRAMES, false);
+    record_alloc("traced_link_dispatch", n, STEADY_FRAMES - 1);
+    assert_eq!(n, 0, "traced run_frame_into allocated {n} times in steady state");
+}
+
+#[test]
 fn faulted_link_is_allocation_free_after_warmup() {
     for (engine, name) in [
         (Engine::Reference, "faulted_link_reference"),
-        (Engine::Block, "faulted_link_block"),
+        (Engine::Dispatch, "faulted_link_dispatch"),
     ] {
         let n = steady_state_allocs(engine, STEADY_FRAMES, true);
         record_alloc(name, n, STEADY_FRAMES - 1);

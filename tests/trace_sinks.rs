@@ -2,10 +2,6 @@
 //! acceptance bar is a 10,000-frame traced `parallel_sweep` whose resident
 //! trace memory stays bounded by the per-frame ring capacity while the
 //! merged JSONL file carries every frame in sweep order.
-//!
-//! Run with `cargo test --features trace`; the whole file compiles away
-//! otherwise.
-#![cfg(feature = "trace")]
 
 use fd_backscatter::phy::trace::{parse_trace_line, TraceLine, TraceSinkSpec};
 use fd_backscatter::prelude::*;

@@ -8,7 +8,7 @@ named by FDB_ALLOC_JSON. This tool turns those streams into a committed
 trajectory file, and gates CI on it:
 
   # run the benches, collecting machine-readable results
-  FDB_BENCH_JSON=target/bench.jsonl cargo bench -p fdb-bench --no-default-features
+  FDB_BENCH_JSON=target/bench.jsonl cargo bench -p fdb-bench
 
   # run the counting-allocator suite, collecting steady-state alloc counts
   FDB_ALLOC_JSON=target/alloc.jsonl cargo test --release --test alloc_steady_state
@@ -16,21 +16,21 @@ trajectory file, and gates CI on it:
   # assemble the paired speedups + alloc counts into a trajectory file
   python3 tools/bench_check.py emit --jsonl target/bench.jsonl \
       --alloc-jsonl target/alloc.jsonl \
-      --out BENCH_pr9.json --label pr9 [--enforce-floors]
+      --out BENCH_pr12.json --label pr12 --prior BENCH_pr10.json [--enforce-floors]
 
   # CI smoke gate: recompute speedups and fail on >20% regression
   python3 tools/bench_check.py check --jsonl target/bench.jsonl \
-      --baseline BENCH_pr9.json --tolerance 0.20
+      --baseline BENCH_pr12.json --tolerance 0.20
 
   # CI alloc gate: fail if any steady-state scenario allocates at all
   python3 tools/bench_check.py check --alloc-jsonl target/alloc.jsonl \
-      --baseline BENCH_pr9.json
+      --baseline BENCH_pr12.json
 
   # run the city-scale gate, collecting the 10k-tag event trajectory
   FDB_CITY_JSON=target/city.jsonl cargo test --release --test city_scale \
       -- --include-ignored
   python3 tools/bench_check.py check --city-jsonl target/city.jsonl \
-      --baseline BENCH_pr10.json
+      --baseline BENCH_pr12.json
 
 Only *ratios* (candidate vs baseline within one process on one machine) and
 *allocation counts* (exact, machine-independent) are compared across runs,
@@ -98,10 +98,10 @@ PAIRS = {
 # criterion pins every one of them at zero.
 ALLOC_SCENARIOS = {
     "alloc/clean_link_reference": 0,
-    "alloc/clean_link_block": 0,
     "alloc/clean_link_dispatch": 0,
+    "alloc/traced_link_dispatch": 0,
     "alloc/faulted_link_reference": 0,
-    "alloc/faulted_link_block": 0,
+    "alloc/faulted_link_dispatch": 0,
     "alloc/mac_session": 0,
     # PR-10: second run of a reused CityEngine (tests/city_scale.rs).
     "alloc/city_steady": 0,
