@@ -76,21 +76,11 @@ impl OfdmBurstySource {
         }
         self.remaining -= 1;
         if self.active {
-            let s = (self.active_power / 2.0).sqrt();
-            Iq::new(
-                s * gaussian(rng),
-                s * gaussian(rng),
-            )
+            fdb_channel::randcn(rng, self.active_power)
         } else {
             Iq::ZERO
         }
     }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

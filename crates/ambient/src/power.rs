@@ -18,6 +18,7 @@
 //! and a good moment match for shaped broadcast signals). This is the
 //! **bandwidth substitution** recorded in DESIGN.md.
 
+use fdb_channel::randn;
 use rand::Rng;
 
 /// Draws a `Gamma(shape, scale = 1/shape)` sample — unit mean, variance
@@ -28,7 +29,8 @@ pub fn gamma_unit_mean<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     gamma_std(rng, shape) / shape
 }
 
-/// Standard `Gamma(shape, 1)` sampler (Marsaglia & Tsang, 2000).
+/// Standard `Gamma(shape, 1)` sampler (Marsaglia & Tsang, 2000), driven
+/// by the stack's one normal generator, [`fdb_channel::randn`].
 pub fn gamma_std<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     if shape < 1.0 {
         // Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
@@ -38,7 +40,7 @@ pub fn gamma_std<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     let d = shape - 1.0 / 3.0;
     let c = 1.0 / (9.0 * d).sqrt();
     loop {
-        let x = gaussian(rng);
+        let x = randn(rng);
         let v = (1.0 + c * x).powi(3);
         if v <= 0.0 {
             continue;
@@ -52,12 +54,6 @@ pub fn gamma_std<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
             return d * v;
         }
     }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

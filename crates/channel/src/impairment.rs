@@ -299,8 +299,9 @@ impl Default for FaultEffects {
     }
 }
 
-/// Self-contained deterministic RNG for fault noise (splitmix64 +
-/// Box–Muller). Independent from the link's `rand`-based stream on
+/// Self-contained deterministic RNG for fault noise (splitmix64, with
+/// Gaussians from the stack's one normal generator,
+/// [`randn`](crate::randn)). Independent from the link's stream on
 /// purpose: fault noise must neither perturb nor be perturbed by the rest
 /// of the simulation.
 #[derive(Debug, Clone)]
@@ -328,21 +329,15 @@ impl FaultRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// One pair of independent standard-normal draws (both Box–Muller
-    /// outputs are used; fault windows burn through many draws).
-    pub fn next_gaussian_pair(&mut self) -> (f64, f64) {
-        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let th = 2.0 * std::f64::consts::PI * u2;
-        (r * th.cos(), r * th.sin())
-    }
-
     /// Circularly-symmetric complex Gaussian with total variance `var`.
     pub fn next_complex_gaussian(&mut self, var: f64) -> Iq {
-        let s = (var.max(0.0) / 2.0).sqrt();
-        let (g1, g2) = self.next_gaussian_pair();
-        Iq::new(s * g1, s * g2)
+        crate::randcn(self, var)
+    }
+}
+
+impl rand::RngCore for FaultRng {
+    fn next_u64(&mut self) -> u64 {
+        FaultRng::next_u64(self)
     }
 }
 
@@ -679,9 +674,9 @@ mod tests {
         let n = 20_000;
         let (mut mean, mut var) = (0.0, 0.0);
         for _ in 0..n {
-            let (g1, g2) = rng.next_gaussian_pair();
-            mean += g1 + g2;
-            var += g1 * g1 + g2 * g2;
+            let g = rng.next_complex_gaussian(2.0);
+            mean += g.re + g.im;
+            var += g.norm_sq();
         }
         mean /= (2 * n) as f64;
         var = var / (2 * n) as f64 - mean * mean;

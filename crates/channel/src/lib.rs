@@ -9,6 +9,8 @@
 //!
 //! * All randomness flows through caller-supplied [`rand::RngCore`]
 //!   implementations, so every experiment is reproducible from a seed.
+//! * Every Gaussian in the stack, in this crate and downstream, comes from
+//!   one stateless normal generator, [`randn`] (a 256-layer ziggurat).
 //! * Channels are **block-fading**: a complex coefficient is held constant
 //!   for a configurable number of samples and then redrawn (with optional
 //!   AR(1) temporal correlation), which matches the paper-domain assumption
@@ -26,30 +28,22 @@ pub mod fading;
 pub mod impairment;
 pub mod link;
 pub mod multipath;
+mod normal;
 pub mod pathloss;
 
 pub use awgn::Awgn;
 pub use fading::{BlockFader, Fading};
 pub use impairment::{FaultActivations, FaultEffects, FaultKind, FaultTarget, FrameFaults};
 pub use link::Hop;
+pub use normal::randn;
 pub use pathloss::PathLoss;
 
 use fdb_dsp::Iq;
 use rand::Rng;
 
-/// Draws one standard normal sample (Box–Muller transform).
-///
-/// Centralised here so every crate draws Gaussians identically; the second
-/// Box–Muller output is intentionally discarded to keep the consumer's RNG
-/// stream position independent of call history.
-pub fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// Draws a circularly-symmetric complex Gaussian with total variance
-/// `var` (i.e. `var/2` per component).
+/// `var` (i.e. `var/2` per component), from two [`randn`] draws.
+#[inline]
 pub fn randcn<R: Rng + ?Sized>(rng: &mut R, var: f64) -> Iq {
     let s = (var.max(0.0) / 2.0).sqrt();
     Iq::new(s * randn(rng), s * randn(rng))

@@ -11,6 +11,7 @@
 //!   the envelope after the RC — distinct from the channel's RF AWGN, which
 //!   `fdb-core` adds to the field before detection.
 
+use fdb_channel::randn;
 use fdb_dsp::envelope::EnvelopeDetector;
 use fdb_dsp::Iq;
 use rand::Rng;
@@ -50,7 +51,7 @@ impl DetectorChain {
         if self.noise_sigma == 0.0 {
             clean
         } else {
-            clean + self.noise_sigma * gaussian(rng)
+            clean + self.noise_sigma * randn(rng)
         }
     }
 
@@ -68,12 +69,6 @@ impl DetectorChain {
     pub fn reset(&mut self) {
         self.env.reset();
     }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

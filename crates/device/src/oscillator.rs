@@ -77,9 +77,7 @@ impl TagClock {
     /// block — the jitter scale is per-update).
     pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if self.cfg.jitter_ppm > 0.0 {
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0..1.0);
-            let g = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let g = fdb_channel::randn(rng);
             let rev = self.cfg.reversion.clamp(0.0, 1.0);
             self.current_ppm += rev * (self.cfg.static_ppm - self.current_ppm)
                 + self.cfg.jitter_ppm * g;
