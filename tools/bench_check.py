@@ -16,21 +16,26 @@ trajectory file, and gates CI on it:
   # assemble the paired speedups + alloc counts into a trajectory file
   python3 tools/bench_check.py emit --jsonl target/bench.jsonl \
       --alloc-jsonl target/alloc.jsonl \
-      --out BENCH_pr12.json --label pr12 --prior BENCH_pr10.json [--enforce-floors]
+      --out BENCH_pr13.json --label pr13 --prior BENCH_pr12.json [--enforce-floors]
 
   # CI smoke gate: recompute speedups and fail on >20% regression
   python3 tools/bench_check.py check --jsonl target/bench.jsonl \
-      --baseline BENCH_pr12.json --tolerance 0.20
+      --baseline BENCH_pr13.json --tolerance 0.20
 
   # CI alloc gate: fail if any steady-state scenario allocates at all
   python3 tools/bench_check.py check --alloc-jsonl target/alloc.jsonl \
-      --baseline BENCH_pr12.json
+      --baseline BENCH_pr13.json
 
   # run the city-scale gate, collecting the 10k-tag event trajectory
   FDB_CITY_JSON=target/city.jsonl cargo test --release --test city_scale \
       -- --include-ignored
   python3 tools/bench_check.py check --city-jsonl target/city.jsonl \
-      --baseline BENCH_pr12.json
+      --baseline BENCH_pr13.json
+
+Each criterion record carries `min_s` and `median_s` (per-iteration
+seconds over samples); speedups are ratios of `min_s`. Streams written
+before the field was named honestly carry the same minimum as `mean_s`,
+which is read as `min_s`.
 
 Only *ratios* (candidate vs baseline within one process on one machine) and
 *allocation counts* (exact, machine-independent) are compared across runs,
@@ -122,15 +127,19 @@ CITY_SCENARIOS = {"city/10k_1h"}
 # (a real regression of the pair itself trips the 20% `check` gate too).
 REL_FLOORS = {"rx_chain_64B_frame": 0.95}
 
-SCHEMA = "fdb-bench-trajectory-v2"
-# v1 files (BENCH_pr6.json) predate the `allocs` section; `check` still
-# accepts them as baselines.
-OLD_SCHEMAS = {"fdb-bench-trajectory-v1"}
+SCHEMA = "fdb-bench-trajectory-v3"
+# v1 files (BENCH_pr6.json) predate the `allocs` section; v2 files
+# (BENCH_pr9, pr10, pr12) name the per-bench minimum `*_mean_s`. `check` only
+# reads their speedups, so it still accepts them as baselines.
+OLD_SCHEMAS = {"fdb-bench-trajectory-v1", "fdb-bench-trajectory-v2"}
 
 
 def load_jsonl(path):
-    """Parse the criterion result stream into {bench name: mean seconds}."""
-    means = {}
+    """Parse the criterion result stream into {bench name: (min s, median s)}.
+
+    The median is None for streams that predate it.
+    """
+    times = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -140,16 +149,18 @@ def load_jsonl(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 sys.exit(f"{path}:{lineno}: bad JSON line: {e}")
-            name, mean = rec.get("name"), rec.get("mean_s")
-            if not isinstance(name, str) or not isinstance(mean, (int, float)):
-                sys.exit(f"{path}:{lineno}: missing name/mean_s: {line}")
-            if mean <= 0:
-                sys.exit(f"{path}:{lineno}: non-positive mean_s for {name}")
+            name = rec.get("name")
+            low = rec.get("min_s", rec.get("mean_s"))
+            if not isinstance(name, str) or not isinstance(low, (int, float)):
+                sys.exit(f"{path}:{lineno}: missing name/min_s: {line}")
+            if low <= 0:
+                sys.exit(f"{path}:{lineno}: non-positive min_s for {name}")
+            median = rec.get("median_s")
             # Keep the last record when a bench ran more than once.
-            means[name] = float(mean)
-    if not means:
+            times[name] = (float(low), float(median) if median else None)
+    if not times:
         sys.exit(f"{path}: no benchmark records found")
-    return means
+    return times
 
 
 def load_alloc_jsonl(path):
@@ -221,20 +232,20 @@ def build_allocs(counts):
     return out
 
 
-def build_pairs(means):
-    """Resolve every tracked pair against the measured means."""
+def build_pairs(times):
+    """Resolve every tracked pair against the measured minima."""
     out, missing = {}, []
     for key, spec in PAIRS.items():
         base, cand = spec["baseline"], spec["candidate"]
-        if base not in means or cand not in means:
-            missing.extend(n for n in (base, cand) if n not in means)
+        if base not in times or cand not in times:
+            missing.extend(n for n in (base, cand) if n not in times)
             continue
         out[key] = {
             "baseline": base,
             "candidate": cand,
-            "baseline_mean_s": means[base],
-            "candidate_mean_s": means[cand],
-            "speedup": means[base] / means[cand],
+            "baseline_min_s": times[base][0],
+            "candidate_min_s": times[cand][0],
+            "speedup": times[base][0] / times[cand][0],
             "floor": spec["floor"],
         }
     if missing:
@@ -243,18 +254,19 @@ def build_pairs(means):
 
 
 def cmd_emit(args):
-    means = load_jsonl(args.jsonl)
-    pairs = build_pairs(means)
+    times = load_jsonl(args.jsonl)
+    pairs = build_pairs(times)
     doc = {
         "schema": SCHEMA,
         "label": args.label,
         "pairs": pairs,
-        "raw_mean_s": dict(sorted(means.items())),
+        "raw_min_s": {k: v[0] for k, v in sorted(times.items())},
+        "raw_median_s": {k: v[1] for k, v in sorted(times.items())},
     }
     failures = []
     for key, p in pairs.items():
         print(f"{key:<32} {p['speedup']:6.2f}x  "
-              f"({p['baseline_mean_s']:.3e}s -> {p['candidate_mean_s']:.3e}s)")
+              f"({p['baseline_min_s']:.3e}s -> {p['candidate_min_s']:.3e}s)")
         if args.enforce_floors and p["floor"] and p["speedup"] < p["floor"]:
             failures.append(
                 f"{key}: speedup {p['speedup']:.2f}x below floor {p['floor']:.1f}x")
@@ -303,7 +315,7 @@ def cmd_emit(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    print(f"wrote {args.out} ({len(pairs)} pairs, {len(means)} benches, "
+    print(f"wrote {args.out} ({len(pairs)} pairs, {len(times)} benches, "
           f"{len(allocs)} alloc scenarios, {len(city)} city scenarios)")
     if failures:
         sys.exit("floor violations:\n  " + "\n  ".join(failures))
