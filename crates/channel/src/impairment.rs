@@ -299,11 +299,10 @@ impl Default for FaultEffects {
     }
 }
 
-/// Self-contained deterministic RNG for fault noise (splitmix64, with
-/// Gaussians from the stack's one normal generator,
-/// [`randn`](crate::randn)). Independent from the link's stream on
-/// purpose: fault noise must neither perturb nor be perturbed by the rest
-/// of the simulation.
+/// Self-contained deterministic RNG for fault noise (splitmix64; its
+/// Gaussians come from [`randcn`](crate::randcn) like every other
+/// stream's). Independent from the link's stream on purpose: fault noise
+/// must neither perturb nor be perturbed by the rest of the simulation.
 #[derive(Debug, Clone)]
 pub struct FaultRng {
     state: u64,
@@ -314,30 +313,15 @@ impl FaultRng {
     pub fn new(seed: u64) -> Self {
         FaultRng { state: seed }
     }
+}
 
-    /// Next raw 64-bit output (splitmix64).
-    pub fn next_u64(&mut self) -> u64 {
+impl rand::RngCore for FaultRng {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Circularly-symmetric complex Gaussian with total variance `var`.
-    pub fn next_complex_gaussian(&mut self, var: f64) -> Iq {
-        crate::randcn(self, var)
-    }
-}
-
-impl rand::RngCore for FaultRng {
-    fn next_u64(&mut self) -> u64 {
-        FaultRng::next_u64(self)
     }
 }
 
@@ -463,10 +447,10 @@ impl FrameFaults {
                     // one seed reuses the same noise shape, only louder.
                     let var = dbm_to_watts(power_dbm);
                     if target.hits_a() {
-                        fx.field_a += self.rng.next_complex_gaussian(var);
+                        fx.field_a += crate::randcn(&mut self.rng, var);
                     }
                     if target.hits_b() {
-                        fx.field_b += self.rng.next_complex_gaussian(var);
+                        fx.field_b += crate::randcn(&mut self.rng, var);
                     }
                 }
                 FaultKind::Dropout { target } => {
@@ -511,6 +495,7 @@ impl FrameFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn neutral_outside_windows() {
@@ -674,7 +659,7 @@ mod tests {
         let n = 20_000;
         let (mut mean, mut var) = (0.0, 0.0);
         for _ in 0..n {
-            let g = rng.next_complex_gaussian(2.0);
+            let g = crate::randcn(&mut rng, 2.0);
             mean += g.re + g.im;
             var += g.norm_sq();
         }

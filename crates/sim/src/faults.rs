@@ -23,6 +23,7 @@ use fdb_core::config::PhyConfig;
 use fdb_core::link::FrameOutcome;
 pub use fdb_channel::impairment::{FaultKind, FaultTarget};
 use fdb_channel::impairment::{FaultRng, FrameFaults, ScheduledFault};
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// XOR salt separating the fault RNG lineage from every other stream
@@ -299,7 +300,7 @@ impl FaultGen {
                     let mut rng =
                         FaultRng::new(derive_seed(seed ^ GEN_SALT, frame));
                     let whole = bursts_per_frame.floor() as u64;
-                    let extra = rng.next_f64() < bursts_per_frame.fract();
+                    let extra = rng.gen::<f64>() < bursts_per_frame.fract();
                     for _ in 0..whole + u64::from(extra) {
                         let span = duration_max_samples - duration_min_samples;
                         let duration = duration_min_samples
@@ -308,7 +309,7 @@ impl FaultGen {
                         let latest_start = frame_samples - duration;
                         let start = (rng.next_u64() as usize) % (latest_start + 1);
                         let power_dbm = power_dbm_min
-                            + (power_dbm_max - power_dbm_min) * rng.next_f64();
+                            + (power_dbm_max - power_dbm_min) * rng.gen::<f64>();
                         faults.push(FaultSpec {
                             frame,
                             start_sample: start,
