@@ -29,6 +29,7 @@ pub use power::gamma_unit_mean;
 pub use tv::TvSource;
 
 use fdb_dsp::Iq;
+use power::GammaSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -68,8 +69,9 @@ pub enum Ambient {
     Tv(TvSource),
     /// Wideband TV via Gamma pre-averaging: power-domain only.
     TvWideband {
-        /// Gamma shape factor (bandwidth oversize).
-        k_factor: f64,
+        /// Unit-mean power sampler whose shape is the bandwidth oversize
+        /// factor `k`.
+        power: GammaSampler,
     },
     /// Bursty OFDM-like source.
     Ofdm(OfdmBurstySource),
@@ -84,7 +86,7 @@ impl Ambient {
             AmbientConfig::Cw => Ambient::Cw(CwSource::new()),
             AmbientConfig::Tv { sps } => Ambient::Tv(TvSource::new(sps, seed)),
             AmbientConfig::TvWideband { k_factor } => Ambient::TvWideband {
-                k_factor: k_factor.max(1.0),
+                power: GammaSampler::new(k_factor.max(1.0)),
             },
             AmbientConfig::OfdmBursty {
                 duty_cycle,
@@ -104,9 +106,7 @@ impl Ambient {
         match self {
             Ambient::Cw(s) => s.next_sample(),
             Ambient::Tv(s) => s.next_sample(),
-            Ambient::TvWideband { k_factor } => {
-                Iq::real(power::gamma_unit_mean(rng, *k_factor).sqrt())
-            }
+            Ambient::TvWideband { power } => Iq::real(power.sample_unit_mean(rng).sqrt()),
             Ambient::Ofdm(s) => s.next_sample(rng),
         }
     }
@@ -118,7 +118,7 @@ impl Ambient {
         match self {
             Ambient::Cw(s) => s.next_sample().norm_sq(),
             Ambient::Tv(s) => s.next_sample().norm_sq(),
-            Ambient::TvWideband { k_factor } => power::gamma_unit_mean(rng, *k_factor),
+            Ambient::TvWideband { power } => power.sample_unit_mean(rng),
             Ambient::Ofdm(s) => s.next_sample(rng).norm_sq(),
         }
     }

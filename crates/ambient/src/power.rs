@@ -23,35 +23,77 @@ use rand::Rng;
 
 /// Draws a `Gamma(shape, scale = 1/shape)` sample — unit mean, variance
 /// `1/shape` — via Marsaglia–Tsang squeeze (with the standard boost for
-/// `shape < 1`).
+/// `shape < 1`). Shapes below `1e-3` are raised to it.
 pub fn gamma_unit_mean<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
-    let shape = shape.max(1e-3);
-    gamma_std(rng, shape) / shape
+    GammaSampler::new(shape.max(1e-3)).sample_unit_mean(rng)
 }
 
 /// Standard `Gamma(shape, 1)` sampler (Marsaglia & Tsang, 2000), driven
 /// by the stack's one normal generator, [`fdb_channel::randn`].
 pub fn gamma_std<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
-    if shape < 1.0 {
-        // Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        return gamma_std(rng, shape + 1.0) * u.powf(1.0 / shape);
+    GammaSampler::new(shape).sample(rng)
+}
+
+/// Marsaglia–Tsang `Gamma(shape, 1)` sampler for one fixed `shape > 0`,
+/// with the per-shape constants computed once. Samplers that draw at one
+/// shape for a whole run (the wideband-TV source) build it once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GammaSampler {
+    shape: f64,
+    /// `d = a − 1/3`, where `a` is `shape`, or `shape + 1` when boosted.
+    d: f64,
+    /// `c = 1/√(9d)`.
+    c: f64,
+}
+
+impl GammaSampler {
+    /// Builds the sampler for `Gamma(shape, 1)`.
+    pub fn new(shape: f64) -> Self {
+        // Below 1 the squeeze draws at `shape + 1` and boosts the result.
+        let a = if shape < 1.0 { shape + 1.0 } else { shape };
+        let d = a - 1.0 / 3.0;
+        GammaSampler {
+            shape,
+            d,
+            c: 1.0 / (9.0 * d).sqrt(),
+        }
     }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    loop {
-        let x = randn(rng);
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
+
+    /// One `Gamma(shape, 1)` draw.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        if self.shape < 1.0 {
+            // Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            return self.squeeze(rng) * u.powf(1.0 / self.shape);
         }
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        // Squeeze then full acceptance test.
-        if u < 1.0 - 0.0331 * x.powi(4) {
-            return d * v;
-        }
-        if u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
-            return d * v;
+        self.squeeze(rng)
+    }
+
+    /// One `Gamma(shape, 1/shape)` draw: unit mean, variance `1/shape`.
+    #[inline]
+    pub fn sample_unit_mean<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.sample(rng) / self.shape
+    }
+
+    /// The Marsaglia–Tsang rejection loop at `d`, `c`.
+    #[inline]
+    fn squeeze<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let (d, c) = (self.d, self.c);
+        loop {
+            let x = randn(rng);
+            let v = (1.0 + c * x).powi(3);
+            if v <= 0.0 {
+                continue;
+            }
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            // Squeeze then full acceptance test.
+            if u < 1.0 - 0.0331 * x.powi(4) {
+                return d * v;
+            }
+            if u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
+                return d * v;
+            }
         }
     }
 }

@@ -50,6 +50,8 @@ impl HarvesterConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct Harvester {
     cfg: HarvesterConfig,
+    /// `ln(saturation_w / sensitivity_w)`: the log-linear rise's span.
+    ln_span: f64,
     stored_j: f64,
     harvested_total_j: f64,
     outages: u64,
@@ -60,6 +62,7 @@ impl Harvester {
     pub fn new(cfg: HarvesterConfig) -> Self {
         Harvester {
             stored_j: cfg.initial_j.clamp(0.0, cfg.storage_j),
+            ln_span: (cfg.saturation_w / cfg.sensitivity_w).ln(),
             cfg,
             harvested_total_j: 0.0,
             outages: 0,
@@ -77,7 +80,7 @@ impl Harvester {
             return c.max_efficiency;
         }
         // Log-linear interpolation between floor (η=0) and saturation.
-        let f = (input_w / c.sensitivity_w).ln() / (c.saturation_w / c.sensitivity_w).ln();
+        let f = (input_w / c.sensitivity_w).ln() / self.ln_span;
         c.max_efficiency * f
     }
 
