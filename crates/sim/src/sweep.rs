@@ -200,8 +200,10 @@ mod tests {
         let out = parallel_sweep(&points, 2, |&p| {
             let iters: u64 = if p == 0 { 20_000_000 } else { 1 };
             let mut acc = p as u64;
+            // `acc` is otherwise unused, so an optimised build would delete
+            // (or fold) the loop and point 0 would not be slow at all.
             for _ in 0..iters {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(1));
             }
             (std::thread::current().id(), p)
         });
