@@ -7,7 +7,7 @@
 //! probe sync    [--config PATH] [--frames N] [--seed N] [--faults PATH]
 //! probe link    [--config PATH] [--frames N] [--seed N] [--faults PATH]
 //!               [--trace-out PATH]
-//! probe mac     --config configs/scenarios/PAIR.json [--seed N]
+//! probe mac     --config configs/scenarios/PAIR.json [--seed N | --seeds A..B]
 //! probe matrix  --configs CFG1,CFG2,... [--frames N] [--seed N]
 //!               [--faults PATH]
 //! probe serve   [--socket PATH] [--cache-dir DIR] [--jobs N]
@@ -35,7 +35,10 @@
 //! * `mac` — runs an adaptive-vs-oblivious [`fdb_sim::AblationPair`]:
 //!   one JSON line per session slot per arm, then a summary with both
 //!   goodputs and the achieved margin. Exits non-zero when the margin is
-//!   not met — the CI regression gate for the adaptive-MAC loop.
+//!   not met — the CI regression gate for the adaptive-MAC loop. With
+//!   `--seeds A..B` (end exclusive) it runs the pair once per session
+//!   seed instead, prints one line per seed and gates the **median**
+//!   margin, as `tests/mac_scenarios.rs` does.
 //! * `matrix` — sweeps every listed scenario config against the built-in
 //!   per-class fault plans ([`fdb_sim::matrix::class_plans`]), one JSON
 //!   line per grid cell, exiting non-zero if any cell violates a
@@ -81,6 +84,8 @@ struct Args {
     mode: Option<Mode>,
     seed: u64,
     seed_given: bool,
+    /// Session seeds `A..B` to judge an ablation pair over (`mac`).
+    seeds: Option<std::ops::Range<u64>>,
     dist: f64,
     payload_len: usize,
     full_duplex: bool,
@@ -134,7 +139,8 @@ fn usage() -> ! {
          \x20                    [--stage NAME] [--trace-out PATH] [--faults PATH]\n\
          \x20      probe sync|link [--config PATH] [--frames N] [--seed N]\n\
          \x20                    [--faults PATH] [--trace-out PATH]\n\
-         \x20      probe mac     --config configs/scenarios/PAIR.json [--seed N]\n\
+         \x20      probe mac     --config configs/scenarios/PAIR.json\n\
+         \x20                    [--seed N | --seeds A..B]\n\
          \x20      probe city    [--config configs/scenarios/CITY.json] [--seed N]\n\
          \x20                    [--json-out PATH]\n\
          \x20      probe matrix  --configs CFG1,CFG2,... [--frames N] [--seed N]\n\
@@ -154,6 +160,7 @@ fn parse_args() -> Args {
         mode: None,
         seed: 7,
         seed_given: false,
+        seeds: None,
         dist: 0.3,
         payload_len: 64,
         full_duplex: true,
@@ -203,6 +210,7 @@ fn parse_args() -> Args {
                 args.seed = value("--seed").parse().unwrap_or_else(|_| usage());
                 args.seed_given = true;
             }
+            "--seeds" => args.seeds = Some(parse_seed_range(&value("--seeds"))),
             "--dist" => args.dist = value("--dist").parse().unwrap_or_else(|_| usage()),
             "--payload-len" => {
                 args.payload_len = value("--payload-len").parse().unwrap_or_else(|_| usage())
@@ -262,6 +270,20 @@ fn parse_args() -> Args {
         first_token = false;
     }
     args
+}
+
+/// Parses a non-empty, end-exclusive seed range `A..B`.
+fn parse_seed_range(text: &str) -> std::ops::Range<u64> {
+    let parsed = text
+        .split_once("..")
+        .and_then(|(a, b)| Some(a.parse().ok()?..b.parse().ok()?));
+    match parsed {
+        Some(r) if !r.is_empty() => r,
+        _ => {
+            eprintln!("--seeds wants A..B with A < B (end exclusive), got {text:?}");
+            usage()
+        }
+    }
 }
 
 fn main() {
@@ -413,6 +435,7 @@ fn clone_args(args: &Args) -> Args {
         mode: args.mode,
         seed: args.seed,
         seed_given: args.seed_given,
+        seeds: args.seeds.clone(),
         dist: args.dist,
         payload_len: args.payload_len,
         full_duplex: args.full_duplex,
@@ -663,7 +686,8 @@ fn link_report(args: &Args) {
 /// same fault timeline, prints one JSON line per session slot per arm
 /// and a closing summary with the goodput margin. Exits non-zero when
 /// the adaptive arm misses the pair's `min_margin` — the CI regression
-/// gate for the adaptive-MAC loop.
+/// gate for the adaptive-MAC loop. With `--seeds A..B` it prints one
+/// line per session seed and gates the median margin instead.
 fn mac_report(args: &Args) {
     use serde::Serialize;
 
@@ -701,6 +725,26 @@ fn mac_report(args: &Args) {
         pass: bool,
     }
 
+    #[derive(Serialize)]
+    struct SeedLine {
+        seed: u64,
+        adaptive: ArmSummary,
+        oblivious: ArmSummary,
+        margin: f64,
+    }
+
+    #[derive(Serialize)]
+    struct SeedsSummaryLine {
+        summary: bool,
+        config: String,
+        label: String,
+        seeds: String,
+        margins: Vec<f64>,
+        median_margin: f64,
+        min_margin: f64,
+        pass: bool,
+    }
+
     fn arm_summary(r: &fdb_mac::scenario::AdaptationReport) -> ArmSummary {
         ArmSummary {
             goodput_bps: r.goodput_bps(),
@@ -730,6 +774,10 @@ fn mac_report(args: &Args) {
         eprintln!("{path} invalid: {e}");
         std::process::exit(2);
     });
+    if args.seed_given && args.seeds.is_some() {
+        eprintln!("probe mac takes --seed or --seeds, not both");
+        usage();
+    }
     if args.seed_given {
         pair.adaptive.seed = args.seed;
         pair.oblivious.seed = args.seed;
@@ -738,10 +786,54 @@ fn mac_report(args: &Args) {
         eprintln!("invalid PHY config: {e}");
         std::process::exit(2);
     });
-    let outcome = pair.run().unwrap_or_else(|e| {
-        eprintln!("pair run failed: {e}");
-        std::process::exit(1);
-    });
+    let run = |pair: &fdb_sim::AblationPair| {
+        pair.run().unwrap_or_else(|e| {
+            eprintln!("pair run failed: {e}");
+            std::process::exit(1);
+        })
+    };
+    if let Some(seeds) = &args.seeds {
+        let mut margins = Vec::with_capacity(seeds.clone().count());
+        for seed in seeds.clone() {
+            pair.adaptive.seed = seed;
+            pair.oblivious.seed = seed;
+            let outcome = run(&pair);
+            let line = SeedLine {
+                seed,
+                adaptive: arm_summary(&outcome.adaptive),
+                oblivious: arm_summary(&outcome.oblivious),
+                margin: outcome.margin,
+            };
+            println!("{}", serde_json::to_string(&line).expect("seed line serializes"));
+            margins.push(outcome.margin);
+        }
+        let mut sorted = margins.clone();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let median_margin = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
+        let pass = median_margin >= pair.min_margin;
+        let summary = SeedsSummaryLine {
+            summary: true,
+            config: path.clone(),
+            label: pair.label.clone(),
+            seeds: format!("{}..{}", seeds.start, seeds.end),
+            margins,
+            median_margin,
+            min_margin: pair.min_margin,
+            pass,
+        };
+        println!("{}", serde_json::to_string(&summary).expect("summary serializes"));
+        if !pass {
+            eprintln!(
+                "FAIL: median adaptive/oblivious goodput margin {median_margin:.3} over seeds \
+                 {}..{} below required {:.3}",
+                seeds.start, seeds.end, pair.min_margin
+            );
+            std::process::exit(1);
+        }
+        return;
+    }
+    let outcome = run(&pair);
     for (arm, report) in [
         ("adaptive", &outcome.adaptive),
         ("oblivious", &outcome.oblivious),
