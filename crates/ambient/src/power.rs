@@ -28,15 +28,11 @@ pub fn gamma_unit_mean<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     GammaSampler::new(shape.max(1e-3)).sample_unit_mean(rng)
 }
 
-/// Standard `Gamma(shape, 1)` sampler (Marsaglia & Tsang, 2000), driven
-/// by the stack's one normal generator, [`fdb_channel::randn`].
-pub fn gamma_std<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
-    GammaSampler::new(shape).sample(rng)
-}
-
-/// Marsaglia–Tsang `Gamma(shape, 1)` sampler for one fixed `shape > 0`,
-/// with the per-shape constants computed once. Samplers that draw at one
-/// shape for a whole run (the wideband-TV source) build it once.
+/// Standard `Gamma(shape, 1)` sampler (Marsaglia & Tsang, 2000) for one
+/// fixed `shape > 0`, driven by the stack's one normal generator,
+/// [`fdb_channel::randn`]. The per-shape constants are computed once, so
+/// a source that draws at one shape for a whole run (the wideband-TV
+/// source) builds it once.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaSampler {
     shape: f64,

@@ -29,7 +29,13 @@ fn probe(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn seed_range_prints_each_seed_and_gates_the_median() {
-    let out = probe(&["mac", "--config", "configs/scenarios/burst_abort.json", "--seeds", "100..103"]);
+    let out = probe(&[
+        "mac",
+        "--config",
+        "configs/scenarios/burst_abort.json",
+        "--seeds",
+        "100..103",
+    ]);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 4, "three seed lines and a summary:\n{stdout}");
@@ -37,10 +43,16 @@ fn seed_range_prints_each_seed_and_gates_the_median() {
         .iter()
         .map(|l| serde_json::from_str(l).expect("seed line parses"))
         .collect();
-    assert_eq!(seeds.iter().map(|s| s.seed).collect::<Vec<_>>(), [100, 101, 102]);
+    assert_eq!(
+        seeds.iter().map(|s| s.seed).collect::<Vec<_>>(),
+        [100, 101, 102]
+    );
     let summary: Summary = serde_json::from_str(lines[3]).expect("summary parses");
     assert_eq!(summary.seeds, "100..103");
-    assert_eq!(summary.margins, seeds.iter().map(|s| s.margin).collect::<Vec<_>>());
+    assert_eq!(
+        summary.margins,
+        seeds.iter().map(|s| s.margin).collect::<Vec<_>>()
+    );
     let mut sorted = summary.margins.clone();
     sorted.sort_by(f64::total_cmp);
     assert_eq!(summary.median_margin, sorted[1]);
@@ -51,9 +63,23 @@ fn seed_range_prints_each_seed_and_gates_the_median() {
 #[test]
 fn bad_seed_ranges_exit_with_usage() {
     for bad in ["5..5", "9..3", "7", "1..x"] {
-        let out = probe(&["mac", "--config", "configs/scenarios/burst_abort.json", "--seeds", bad]);
+        let out = probe(&[
+            "mac",
+            "--config",
+            "configs/scenarios/burst_abort.json",
+            "--seeds",
+            bad,
+        ]);
         assert_eq!(out.status.code(), Some(2), "--seeds {bad}");
     }
-    let both = ["mac", "--config", "configs/scenarios/burst_abort.json", "--seed", "4", "--seeds", "1..3"];
+    let both = [
+        "mac",
+        "--config",
+        "configs/scenarios/burst_abort.json",
+        "--seed",
+        "4",
+        "--seeds",
+        "1..3",
+    ];
     assert_eq!(probe(&both).status.code(), Some(2));
 }
