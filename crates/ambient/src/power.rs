@@ -57,7 +57,7 @@ impl GammaSampler {
 
     /// One `Gamma(shape, 1)` draw.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.shape < 1.0 {
             // Boost: Gamma(a) = Gamma(a+1) · U^(1/a).
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);

@@ -793,7 +793,7 @@ fn mac_report(args: &Args) {
         })
     };
     if let Some(seeds) = &args.seeds {
-        let mut margins = Vec::with_capacity(seeds.clone().count());
+        let mut margins = Vec::new();
         for seed in seeds.clone() {
             pair.adaptive.seed = seed;
             pair.oblivious.seed = seed;
